@@ -33,6 +33,7 @@ from .fem import (
     assemble_stiffness,
     build_mesh,
     fem_solve,
+    flux_sweep,
     solve_tridiagonal,
 )
 from .integrate import AccuracyError

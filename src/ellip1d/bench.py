@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .decompose import Method, semi_analytic_U_M, solve_improved, solve_original
 from .fem import QuadratureRule, fem_solve
-from .norms import l2_error
+from .norms import ERROR_RULE, l2_error
 from .problems import Problem, exact_solution_via_flux
 
 __all__ = ["MethodStats", "BenchReport", "run_benchmark", "BENCH_CSV_HEADER"]
@@ -23,7 +23,6 @@ __all__ = ["MethodStats", "BenchReport", "run_benchmark", "BENCH_CSV_HEADER"]
 BENCH_CSV_HEADER = "problem,N,M,method,solves,assemblies,factorizations,wall_ns_median,l2_error"
 
 ORACLE_TOL = 1e-9
-ERROR_RULE_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ def run_benchmark(
     if reps < 3:
         raise ValueError(f"need at least 3 repetitions, got {reps}")
     rule = QuadratureRule.gauss(quad_points)
-    error_rule = QuadratureRule.gauss(ERROR_RULE_POINTS)
     truncated_ref = semi_analytic_U_M(problem, truncation, ORACLE_TOL)
     full_ref = exact_solution_via_flux(problem, ORACLE_TOL)
 
@@ -102,7 +100,7 @@ def run_benchmark(
             assemblies=result.assembly_count,
             factorizations=result.factorization_count,
             wall_ns_median=wall_ns,
-            l2_error=l2_error(result.U_M, reference, error_rule),
+            l2_error=l2_error(result.U_M, reference, ERROR_RULE),
         )
 
     direct, direct_ns = _timed(lambda: fem_solve(problem, n_elems, rule), reps)
@@ -111,7 +109,7 @@ def run_benchmark(
         assemblies=0,
         factorizations=1,
         wall_ns_median=direct_ns,
-        l2_error=l2_error(direct, full_ref, error_rule),
+        l2_error=l2_error(direct, full_ref, ERROR_RULE),
     )
     return BenchReport(
         problem=problem.name,

@@ -23,6 +23,7 @@ from .decompose import Method, MethodConfig, solve_improved, solve_original
 from .fem import QuadratureRule, fem_solve
 from .integrate import AccuracyError
 from .norms import (
+    ERROR_RULE,
     BoundViolationError,
     ErrorReport,
     Reference,
@@ -45,8 +46,6 @@ REPORT_CSV_HEADER = "problem,N,M,method,l2_error,h1_error,reference"
 DEFAULT_N_LIST = (8, 32, 128, 512, 2048)
 DEFAULT_M_LIST = (2, 4, 6, 8, 10)
 FINE_GRID_ELEMS = 2**15
-ERROR_RULE = QuadratureRule.gauss(5)
-ORACLE_TOL = 1e-10
 VERIFY_SUITES = (
     "tail-bound",
     "theorem-bound",

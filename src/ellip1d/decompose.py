@@ -14,16 +14,17 @@ G_M = sum_{j<=M} (-psi)^j/j!:
 
     (U_M', v') = (G_M u_0', v'),   U_M(0) = alpha.
 
-Both paths share one factorized unit-coefficient matrix; the work difference
-is M + 1 versus 2 back-substitutions and M versus 1 weighted-gradient load
-assemblies.
+Both paths share one unit-coefficient operator, whose element conductances
+are set up once; each solve is one flux sweep (fem.flux_sweep), the discrete
+flux identity. The work difference is M + 1 versus 2 solves and M versus 1
+weighted-gradient load assemblies.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +32,10 @@ from .fem import (
     Mesh,
     NodalFunction,
     QuadratureRule,
-    TridiagonalFactorization,
     assemble_load,
     assemble_stiffness,
     build_mesh,
-    factorize,
+    flux_sweep,
     gradient_load_from_values,
 )
 from .problems import (
@@ -87,10 +87,12 @@ class MethodConfig:
 class DecompositionResult:
     """Output of one decomposition run, with honest cost counters.
 
-    solve_count counts back-substitutions against the shared factorized
-    matrix; assembly_count counts weighted-gradient right-hand-side
-    assemblies (the recursive method builds one per correction term, the
-    two-solve method exactly one).
+    solve_count counts flux sweeps against the shared unit-coefficient
+    operator (each is one back-substitution in the cost model);
+    assembly_count counts weighted-gradient right-hand-side assemblies (the
+    recursive method builds one per correction term, the two-solve method
+    exactly one); factorization_count counts the one conductance setup that
+    all sweeps share.
     """
 
     u0: NodalFunction
@@ -103,29 +105,18 @@ class DecompositionResult:
 
 
 class _UnitOperator:
-    """Factorized unit-coefficient stiffness matrix with the Dirichlet row applied.
+    """Unit-coefficient stiffness operator, kept as its element conductances.
 
-    Keeps the eliminated node-0 coupling so right-hand sides for any boundary
-    value alpha can be prepared for the same factorization.
+    Built once per mesh and shared by every solve; solve() is one flux sweep
+    from u(0) = alpha, so any boundary value reuses the same conductances.
     """
 
     def __init__(self, mesh: Mesh, rule: QuadratureRule):
-        system = assemble_stiffness(mesh, constant_field(1.0), rule)
-        self.coupling = system.sub[0]
-        dirichlet = replace(
-            system,
-            sub=np.concatenate([[0.0], system.sub[1:]]),
-            sup=np.concatenate([[0.0], system.sup[1:]]),
-            diag=np.concatenate([[1.0], system.diag[1:]]),
-        )
-        self.factorization: TridiagonalFactorization = factorize(dirichlet)
         self.mesh = mesh
+        self.k = -assemble_stiffness(mesh, constant_field(1.0), rule).sub
 
     def solve(self, rhs: np.ndarray, alpha: float) -> NodalFunction:
-        b = rhs.copy()
-        b[0] = alpha
-        b[1] -= self.coupling * alpha
-        return self.factorization.solve(b)
+        return flux_sweep(self.mesh, self.k, rhs, alpha)
 
 
 def solve_u0(problem: Problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:
@@ -141,7 +132,7 @@ def solve_original(
 ) -> DecompositionResult:
     """Recursive decomposition: one solve per term u_1 ... u_M.
 
-    All subproblems share the unit-coefficient matrix, factorized once. The
+    All subproblems share the unit-coefficient operator, set up once. The
     flux terms of the corrections are natural in the weak form and cancel,
     so no boundary assembly happens beyond the -beta term in the u_0 load.
     truncation = 0 degenerates to the plain u_0 solve.

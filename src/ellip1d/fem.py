@@ -1,4 +1,4 @@
-"""Uniform 1D mesh, P1 element assembly and a direct tridiagonal solver.
+"""Uniform 1D mesh, P1 element assembly and the flux-sweep solver.
 
 Discretizes the weak problem
 
@@ -8,6 +8,16 @@ Discretizes the weak problem
 with continuous piecewise-linear (hat) basis functions on a uniform mesh.
 The flux condition at x = L is natural: it enters only through the -beta v(L)
 load term and is never imposed on the solution values.
+
+Every assembled system therefore has a Dirichlet row at node 0 and a natural
+row at node N, so its element fluxes obey the discrete form of the flux
+identity kappa u' = -beta + int_x^L f:
+
+    k_e (u_{e+1} - u_e) = sum_{i > e} rhs_i,
+
+with k_e the element conductances. flux_sweep solves it with two cumulative
+sums. The Thomas-algorithm solver (factorize, solve_tridiagonal) stays as a
+generic reference for tests; no solve path uses it.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ __all__ = [
     "apply_dirichlet",
     "factorize",
     "solve_tridiagonal",
+    "flux_sweep",
     "fem_solve",
     "tridiagonal_matvec",
 ]
@@ -235,9 +246,10 @@ def apply_dirichlet(system: TridiagonalSystem, alpha: float) -> TridiagonalSyste
 class TridiagonalFactorization:
     """LU factorization of a tridiagonal matrix (Thomas algorithm, no pivoting).
 
-    Safe here because assembly plus the Dirichlet row yields a positive
-    definite system. Back-substitution via solve() may be repeated for many
-    right-hand sides.
+    The generic reference solver that tests check flux_sweep against. Safe
+    for positive definite systems such as assembly plus the Dirichlet row,
+    but its round-off grows like N^2 eps on them. Back-substitution via
+    solve() may be repeated for many right-hand sides.
     """
 
     mesh: Mesh
@@ -277,7 +289,7 @@ def factorize(system: TridiagonalSystem) -> TridiagonalFactorization:
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> NodalFunction:
-    """Direct solve of the assembled system by the Thomas algorithm."""
+    """Direct solve of any tridiagonal system by the Thomas algorithm."""
     return factorize(system).solve(system.rhs)
 
 
@@ -289,15 +301,33 @@ def tridiagonal_matvec(system: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def flux_sweep(mesh: Mesh, k: np.ndarray, rhs: np.ndarray, alpha: float) -> NodalFunction:
+    """Solve the stiffness system with conductances k for u(0) = alpha.
+
+    Rows 1..N of the system say that the flux k_e (u_{e+1} - u_e) of element
+    e equals the sum of rhs over the nodes right of it, so a reverse cumsum
+    gives every flux and a forward cumsum from alpha gives u. rhs[0] is
+    ignored, as the Dirichlet row replaces it. The result carries only the
+    rounding of the two sums, not the N^2 eps growth of elimination.
+    """
+    bad = ~(np.isfinite(k) & (k > 0.0))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(
+            f"element {e} has conductance {k[e]!r}; "
+            "the flux sweep needs every conductance finite and positive"
+        )
+    flux = np.cumsum(rhs[:0:-1])[::-1]
+    return NodalFunction(mesh, np.cumsum(np.concatenate(([alpha], flux / k))))
+
+
 def fem_solve(problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:
     """Galerkin solution of the full variable-coefficient problem.
 
     This is the direct (non-decomposed) reference method: assemble with the
-    true coefficient, impose u(0) = alpha, solve once.
+    true coefficient, then one flux sweep from u(0) = alpha.
     """
     mesh = build_mesh(problem.length, n_elems)
     system = assemble_stiffness(mesh, problem.kappa, rule)
     rhs = assemble_load(mesh, problem.f, rule, beta=problem.beta)
-    system = replace(system, rhs=rhs)
-    system = apply_dirichlet(system, problem.alpha)
-    return solve_tridiagonal(system)
+    return flux_sweep(mesh, -system.sub, rhs, problem.alpha)

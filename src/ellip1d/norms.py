@@ -25,6 +25,7 @@ __all__ = [
     "Reference",
     "ErrorReport",
     "BoundViolationError",
+    "ERROR_RULE",
     "l2_error",
     "h1_seminorm_error",
     "h1_seminorm",
@@ -57,6 +58,10 @@ class ErrorReport:
         for label, value in (("l2", self.l2_error), ("h1", self.h1_error)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{label} error must be finite and >= 0, got {value}")
+
+
+# 5-point Gauss rule the CLI and the benchmark score every error norm with
+ERROR_RULE = QuadratureRule.gauss(5)
 
 
 def l2_error(approx: NodalFunction, reference: ScalarField, rule: QuadratureRule) -> float:

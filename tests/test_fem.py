@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ellip1d import (
@@ -13,12 +17,14 @@ from ellip1d import (
     build_mesh,
     constant_field,
     fem_solve,
+    flux_sweep,
     l2_error,
     observed_order,
     solve_tridiagonal,
 )
 from ellip1d.decompose import solve_u0
 from ellip1d.fem import Mesh, NodalFunction, TridiagonalSystem, tridiagonal_matvec
+from ellip1d.problems import Problem
 from conftest import field, unit_problem
 
 
@@ -275,6 +281,94 @@ class TestDirichletAndSolve:
         coeff = field(lambda x: 0.1 + np.abs(np.sin(5 * x)) + 0.05 * x)
         system = apply_dirichlet(assemble_stiffness(mesh, coeff, rule3), rng.normal())
         assert np.all(factorize(system).pivot > 0.0)
+
+
+def _trig(c, length):
+    """c[0] + sum_j (c[2j-1] cos + c[2j] sin)(j pi x / length)."""
+    def fn(x):
+        t = np.pi * x / length
+        out = np.full(x.shape, c[0])
+        for j in range(1, len(c) // 2 + 1):
+            out = out + c[2 * j - 1] * np.cos(j * t) + c[2 * j] * np.sin(j * t)
+        return out
+    return fn
+
+
+@st.composite
+def positive_problems(draw, max_n, psi_amp):
+    """(problem, N) with kappa = exp(psi), psi a random degree-2 trig
+    polynomial whose coefficients lie in [-psi_amp, psi_amp], and random
+    alpha, beta and trig-polynomial f with coefficients in [-1, 1]."""
+    unit = st.integers(-100, 100).map(lambda i: i / 100)
+    five = st.lists(unit, min_size=5, max_size=5)
+    length = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    psi = _trig([psi_amp * c for c in draw(five)], length)
+    problem = Problem(
+        name="random",
+        length=length,
+        kappa=field(lambda x: np.exp(psi(x))),
+        f=field(_trig(draw(five), length)),
+        alpha=draw(unit),
+        beta=draw(unit),
+    )
+    return problem, draw(st.integers(1, max_n))
+
+
+def _assembled(problem, n, rule):
+    mesh = build_mesh(problem.length, n)
+    system = assemble_stiffness(mesh, problem.kappa, rule)
+    rhs = assemble_load(mesh, problem.f, rule, beta=problem.beta)
+    return dataclasses.replace(system, rhs=rhs)
+
+
+class TestFluxSweep:
+    RULE = QuadratureRule.gauss(3)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_conductance_not_finite_positive(self, bad):
+        k = np.full(4, 4.0)
+        k[2] = bad
+        with pytest.raises(ValueError, match="element 2"):
+            flux_sweep(build_mesh(1.0, 4), k, np.ones(5), 0.0)
+
+    @pytest.mark.parametrize("solve", [fem_solve, solve_u0])
+    @pytest.mark.parametrize("log2_n", [11, 15, 18])
+    def test_nodal_exactness_unit_problem(self, solve, log2_n):
+        # kappa = 1, f = 1: P1 is nodally exact, so only rounding remains;
+        # Thomas elimination loses N^2 eps here (8.4e-8 at 2^18)
+        u = solve(unit_problem(), 2**log2_n, self.RULE)
+        x = u.mesh.nodes
+        assert np.abs(u.values - (x - x**2 / 2)).max() <= 1e-14
+
+    # Thomas itself carries relative round-off growing like N^2 eps and with
+    # the spread of kappa (up to 2e-12 at N = 256 for psi coefficients of
+    # 0.5, 5e-12 for 1.0), so the agreement is checked where the reference
+    # is good to well below the gate
+    @settings(max_examples=60, deadline=None)
+    @given(positive_problems(max_n=64, psi_amp=0.5))
+    def test_matches_thomas(self, case):
+        problem, n = case
+        u = fem_solve(problem, n, self.RULE).values
+        system = apply_dirichlet(_assembled(problem, n, self.RULE), problem.alpha)
+        reference = solve_tridiagonal(system).values
+        assert np.abs(u - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    # rows 1..N of the assembled system hold for the sweep's u. The scale is
+    # the size of the terms each row sums, |A| |u| + |rhs|: evaluating A u
+    # for any rounded u loses eps |A| |u|, about N^2 eps of max |rhs|
+    @settings(max_examples=60, deadline=None)
+    @given(positive_problems(max_n=256, psi_amp=1.0))
+    def test_residual(self, case):
+        problem, n = case
+        u = fem_solve(problem, n, self.RULE).values
+        system = _assembled(problem, n, self.RULE)
+        residual = tridiagonal_matvec(system, u) - system.rhs
+        magnitude = dataclasses.replace(
+            system, sub=np.abs(system.sub), diag=np.abs(system.diag),
+            sup=np.abs(system.sup),
+        )
+        scale = tridiagonal_matvec(magnitude, np.abs(u)) + np.abs(system.rhs)
+        assert np.abs(residual[1:]).max() <= 1e-12 * scale[1:].max()
 
 
 @pytest.fixture(scope="module")
