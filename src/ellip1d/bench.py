@@ -75,7 +75,9 @@ def run_benchmark(
 
     The decomposition methods are scored against the mesh-free truncated
     approximation of the same order; the direct solve against the
-    flux-integral solution. Runs are strictly sequential.
+    flux-integral solution. Both references are Chebyshev antiderivatives
+    accurate to rounding, built once before the timed runs, so the L2
+    column carries no oracle error. Runs are strictly sequential.
     """
     if reps < 3:
         raise ValueError(f"need at least 3 repetitions, got {reps}")

@@ -223,8 +223,9 @@ def semi_analytic_U_M(problem: Problem, truncation: int, tol: float) -> ScalarFi
     """Mesh-free value of the truncated approximation, for oracle use.
 
     U_M(x) = alpha + int_0^x G_M(s) u_0'(s) ds with u_0'(s) = -beta +
-    int_s^L f, evaluated by nested adaptive quadrature. Both discrete methods
-    converge to this field as the mesh is refined.
+    int_s^L f, built as two Chebyshev antiderivatives resolved to rounding
+    level; tol must be positive but does not limit the accuracy. Both
+    discrete methods converge to this field as the mesh is refined.
     """
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
@@ -233,5 +234,5 @@ def semi_analytic_U_M(problem: Problem, truncation: int, tol: float) -> ScalarFi
         problem,
         series,
         tol,
-        f"order-{truncation} truncated approximation of {problem.name} (tol {tol:g})",
+        f"order-{truncation} truncated approximation of {problem.name}",
     )

@@ -1,10 +1,11 @@
 """Adaptive Gauss quadrature with batch cumulative evaluation.
 
-The semi-analytic reference solutions are nested integrals that must be
-evaluated at up to ~10^5 sorted points per call (every quadrature point of a
-fine mesh). Integrating segment by segment with a vectorized Gauss pair and
-interval halving keeps that a handful of array operations instead of one
-adaptive call per point.
+The package calls it only for the scalar integrals of the theorem-bound
+check (norms.theorem_bound_check); the mesh-free references are Chebyshev
+antiderivatives (problems.py), and cumulative stays as public API only.
+Integrating segment by segment with a vectorized Gauss pair and interval
+halving keeps many segments a handful of array operations. AccuracyError is
+also what the Chebyshev references raise for a field they cannot resolve.
 
 Error control per interval compares a 7-point Gauss estimate against the sum
 of 7-point estimates on its halves; intervals failing their length-prorated

@@ -9,10 +9,12 @@ the flux identity
 
     kappa(x) u'(x) = -beta + int_x^L f(t) dt
 
-which yields reference solutions by quadrature alone: u(x) = alpha +
-int_0^x kappa(s)^-1 (-beta + int_s^L f) ds. The same machinery with the
-reciprocal coefficient replaced by its truncated exponential series produces
-the mesh-free limit of the decomposition methods.
+which yields reference solutions from two antiderivatives: u(x) = alpha +
+int_0^x kappa(s)^-1 (-beta + int_s^L f) ds. Each integrand is interpolated
+at Chebyshev points on [0, L] to rounding level and its Chebyshev series
+integrated exactly (Battles & Trefethen, SIAM J. Sci. Comput. 25, 2004). The
+same construction with the reciprocal coefficient replaced by its truncated
+exponential series produces the mesh-free limit of the decomposition methods.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebval
 
-from .integrate import cumulative, segment_integrals
+from .integrate import AccuracyError
 
 __all__ = [
     "ScalarField",
@@ -150,66 +153,93 @@ def g_m(psi: ScalarField, m: int) -> ScalarField:
     return ScalarField(fn, f"truncated exp(-psi), {m + 1} terms")
 
 
-def _sorted_pointwise(eval_sorted: Callable) -> Callable:
-    """Lift an evaluator defined on ascending 1-D points to arbitrary arrays."""
-
-    def fn(arr):
-        flat = arr.ravel()
-        order = np.argsort(flat, kind="stable")
-        vals = np.empty(flat.shape)
-        vals[order] = eval_sorted(flat[order])
-        return vals.reshape(arr.shape)
-
-    return fn
+_CHEB_START = 16  # first interpolation degree tried
+_CHEB_MAX = 8192  # degree cap: 8193 samples
+_CHEB_TAIL = 4.0  # trailing coefficients must fall below this many eps of the scale
+_EPS = float(np.finfo(float).eps)
 
 
-def _check_domain(pts: np.ndarray, length: float):
-    if len(pts) and (pts[0] < 0.0 or pts[-1] > length):
-        raise ValueError(f"evaluation point outside [0, {length}]")
+def _chebyshev_coefficients(fn: ScalarField, length: float, name: str) -> np.ndarray:
+    """Chebyshev coefficients of fn on [0, length], resolved to rounding level.
+
+    fn is sampled at the n + 1 Chebyshev-Lobatto points, and one real FFT of
+    the mirrored samples gives the coefficients. n doubles from 16 until the
+    trailing eighth of them is below a few eps of the largest sample; then
+    the trailing coefficients below eps of it are chopped.
+    """
+    n = _CHEB_START
+    while True:
+        t = np.cos(np.pi * np.arange(n + 1) / n)
+        vals = fn(0.5 * length * (1.0 + t))
+        if not np.all(np.isfinite(vals)):
+            raise AccuracyError(f"{name} is not finite on [0, {length}]")
+        coeffs = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
+        coeffs[[0, n]] *= 0.5
+        scale = float(np.max(np.abs(vals)))
+        tail = float(np.max(np.abs(coeffs[-(n // 8):])))
+        if tail <= _CHEB_TAIL * _EPS * scale:
+            break
+        if n >= _CHEB_MAX:
+            raise AccuracyError(
+                f"{name} is not resolved by {n + 1} Chebyshev points "
+                f"(trailing coefficients {tail:.2e})",
+                error_estimate=tail,
+            )
+        n *= 2
+    kept = np.flatnonzero(np.abs(coeffs) > _EPS * scale)
+    return coeffs[: kept[-1] + 1] if len(kept) else np.zeros(1)
+
+
+def _antiderivative(fn: ScalarField, length: float, name: str) -> np.ndarray:
+    """Chebyshev coefficients of int_0^x fn on [0, length]."""
+    return chebint(_chebyshev_coefficients(fn, length, name), lbnd=-1, scl=0.5 * length)
+
+
+def _chebyshev_field(
+    coeffs: np.ndarray, length: float, description: str, derivative=None
+) -> ScalarField:
+    def fn(x):
+        if x.size and (x.min() < 0.0 or x.max() > length):
+            raise ValueError(f"evaluation point outside [0, {length}]")
+        return chebval((2.0 * x - length) / length, coeffs)
+
+    return ScalarField(fn, description, derivative=derivative)
 
 
 def flux_field(problem: Problem, tol: float) -> ScalarField:
     """The solution flux kappa u' as a function: -beta + int_x^L f.
 
     This equals the derivative of the unit-coefficient solution of the same
-    data, which seeds both decomposition methods.
+    data, which seeds both decomposition methods. It is the antiderivative of
+    the Chebyshev interpolant of f, resolved to rounding level whatever tol
+    (which must be positive) asks for.
     """
-
-    def eval_sorted(pts):
-        _check_domain(pts, problem.length)
-        bp = np.append(pts, problem.length)
-        segs = segment_integrals(problem.f, bp, tol)
-        return -problem.beta + np.cumsum(segs[::-1])[::-1]
-
-    return ScalarField(
-        _sorted_pointwise(eval_sorted), f"flux of {problem.name} (tol {tol:g})"
-    )
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    load_integral = _antiderivative(problem.f, problem.length, f"load of {problem.name}")
+    coeffs = -load_integral
+    coeffs[0] += chebval(1.0, load_integral) - problem.beta
+    return _chebyshev_field(coeffs, problem.length, f"flux of {problem.name}")
 
 
 def flux_weighted_antiderivative(
     problem: Problem, weight: ScalarField, tol: float, description: str
 ) -> ScalarField:
-    """alpha + int_0^x weight(s) (kappa u')(s) ds by nested adaptive quadrature.
+    """alpha + int_0^x weight(s) (kappa u')(s) ds as a Chebyshev antiderivative.
 
-    The inner flux integral is computed to tol/10, the outer accumulation
-    to tol. The returned field carries its integrand as .derivative.
+    The integrand weight * flux is interpolated at Chebyshev points to
+    rounding level and integrated once; tol must be positive but does not
+    limit the accuracy. An integrand the degree cap cannot resolve raises
+    AccuracyError. The returned field carries its integrand as .derivative.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    flux = flux_field(problem, tol / 10.0)
+    flux = flux_field(problem, tol)
     integrand = ScalarField(
         lambda arr: weight(arr) * flux(arr),
         f"derivative of {description}",
     )
-
-    def eval_sorted(pts):
-        _check_domain(pts, problem.length)
-        bp = np.concatenate([[0.0], pts])
-        return cumulative(integrand, bp, tol, base=problem.alpha)[1:]
-
-    return ScalarField(
-        _sorted_pointwise(eval_sorted), description, derivative=integrand
-    )
+    coeffs = _antiderivative(integrand, problem.length, integrand.description)
+    coeffs[0] += problem.alpha
+    return _chebyshev_field(coeffs, problem.length, description, derivative=integrand)
 
 
 def exact_solution_via_flux(problem: Problem, tol: float) -> ScalarField:
@@ -218,7 +248,7 @@ def exact_solution_via_flux(problem: Problem, tol: float) -> ScalarField:
         lambda x: 1.0 / problem.kappa(x), f"1/({problem.kappa.description})"
     )
     return flux_weighted_antiderivative(
-        problem, inv_kappa, tol, f"flux-integral solution of {problem.name} (tol {tol:g})"
+        problem, inv_kappa, tol, f"flux-integral solution of {problem.name}"
     )
 
 
@@ -285,7 +315,7 @@ def _ex4() -> Problem:
     kappa = ScalarField(lambda x: x**4 + np.exp(-x), "x^4 + exp(-x)")
     f = ScalarField(lambda x: -2.0 * np.cos(np.pi * x), "-2 cos(pi x)")
     base = Problem(name="ex4", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0)
-    # closed-form flux 2 sin(pi x)/pi leaves only the outer integral to quadrature
+    # the flux 2 sin(pi x)/pi has a closed form, and so has u' = flux / kappa
     exact_d = ScalarField(
         lambda x: 2.0 * np.sin(np.pi * x) / (np.pi * (x**4 + np.exp(-x))),
         "2 sin(pi x)/(pi (x^4 + exp(-x)))",

@@ -49,6 +49,7 @@ from ellip1d import (
     theorem_bound_check,
 )
 from ellip1d.bench import run_benchmark
+from ellip1d.cli import FINE_GRID_ELEMS
 from ellip1d.decompose import Method, solve_improved, solve_original
 from ellip1d.norms import fine_grid_l2_error, h1_seminorm
 from ellip1d.problems import psi_of
@@ -63,7 +64,6 @@ from golden_tables import (
 
 RULE = QuadratureRule.gauss(3)
 ERROR_RULE = QuadratureRule.gauss(5)
-FINE_GRID_ELEMS = 2**15
 # relative reproduction tolerance of the table criteria
 RHO = {"ex1": 0.25, "ex2": 0.15, "ex3": 0.15, "ex4": 0.25}
 ORDER_RANGE = (1.9, 2.1)

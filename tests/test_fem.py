@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ellip1d import (
@@ -25,7 +24,7 @@ from ellip1d import (
 from ellip1d.decompose import solve_u0
 from ellip1d.fem import Mesh, NodalFunction, TridiagonalSystem, tridiagonal_matvec
 from ellip1d.problems import Problem
-from conftest import field, unit_problem
+from conftest import field, positive_problems, unit_problem
 
 
 class TestBuildMesh:
@@ -281,37 +280,6 @@ class TestDirichletAndSolve:
         coeff = field(lambda x: 0.1 + np.abs(np.sin(5 * x)) + 0.05 * x)
         system = apply_dirichlet(assemble_stiffness(mesh, coeff, rule3), rng.normal())
         assert np.all(factorize(system).pivot > 0.0)
-
-
-def _trig(c, length):
-    """c[0] + sum_j (c[2j-1] cos + c[2j] sin)(j pi x / length)."""
-    def fn(x):
-        t = np.pi * x / length
-        out = np.full(x.shape, c[0])
-        for j in range(1, len(c) // 2 + 1):
-            out = out + c[2 * j - 1] * np.cos(j * t) + c[2 * j] * np.sin(j * t)
-        return out
-    return fn
-
-
-@st.composite
-def positive_problems(draw, max_n, psi_amp):
-    """(problem, N) with kappa = exp(psi), psi a random degree-2 trig
-    polynomial whose coefficients lie in [-psi_amp, psi_amp], and random
-    alpha, beta and trig-polynomial f with coefficients in [-1, 1]."""
-    unit = st.integers(-100, 100).map(lambda i: i / 100)
-    five = st.lists(unit, min_size=5, max_size=5)
-    length = draw(st.sampled_from([0.5, 1.0, 3.0]))
-    psi = _trig([psi_amp * c for c in draw(five)], length)
-    problem = Problem(
-        name="random",
-        length=length,
-        kappa=field(lambda x: np.exp(psi(x))),
-        f=field(_trig(draw(five), length)),
-        alpha=draw(unit),
-        beta=draw(unit),
-    )
-    return problem, draw(st.integers(1, max_n))
 
 
 def _assembled(problem, n, rule):

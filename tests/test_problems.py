@@ -1,14 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings
+from scipy.integrate import quad, quad_vec
 
 from ellip1d import builtin_problem, constant_field, exact_solution_via_flux, g_m, psi_of
+from ellip1d.decompose import semi_analytic_U_M, solve_improved, solve_original
+from ellip1d.fem import QuadratureRule
+from ellip1d.integrate import AccuracyError
 from ellip1d.norms import tail_bound
 from ellip1d.problems import BUILTIN_IDS, Problem, ScalarField, flux_field
 
-from conftest import field, unit_problem
+from conftest import field, positive_problems, unit_problem
 
 ALL_IDS = ["ex1", "ex2", "ex3", "ex4"]
 
@@ -30,6 +35,18 @@ class TestPsi:
         psi = psi_of(field(lambda x: x - 0.5))
         with pytest.raises(ValueError, match="positive"):
             psi(np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize("solve", [solve_improved, solve_original])
+    def test_rejects_dip_between_validation_samples(self, solve):
+        # kappa is negative only within 1e-6 of 1/6, which no validation
+        # sample k/65536 reaches but the midpoint Gauss node of element 0 of
+        # a 3-element mesh does: psi_of is the check that catches it
+        dip = field(lambda x: np.where(np.abs(x - 1.0 / 6.0) < 1e-6, -1.0, 1.0))
+        problem = Problem(name="dip", length=1.0, kappa=dip, f=constant_field(1.0),
+                          alpha=0.0, beta=0.0)
+        assert problem.kappa_min == 1.0
+        with pytest.raises(ValueError, match=r"not positive at x = 0\.16666"):
+            solve(problem, 3, 2, QuadratureRule.gauss(3))
 
 
 class TestTruncatedSeries:
@@ -171,6 +188,8 @@ class TestFluxOracle:
         u = exact_solution_via_flux(ex1, tol=1e-8)
         with pytest.raises(ValueError, match="outside"):
             u(1.5)
+        with pytest.raises(ValueError, match="outside"):
+            u(np.array([[0.5, 0.2], [-1e-9, 0.7]]))
 
     def test_flux_field_matches_quadrature(self, ex3):
         flux = flux_field(ex3, tol=1e-11)
@@ -182,3 +201,88 @@ class TestFluxOracle:
         u = exact_solution_via_flux(ex2, tol=1e-9)
         xs = np.linspace(0.0, 1.0, 40)
         np.testing.assert_array_equal(u(xs), u(xs))
+
+
+# The built-in problems restated for scipy, independently of ellip1d: (kappa, f).
+RESTATED = {
+    "ex1": (lambda x: 1.0 + x * x, lambda x: 1.0),
+    "ex2": (lambda x: 1.0 / (1.0 - 0.5 * math.sin(10.0 * math.pi * x)), lambda x: 1.0),
+    "ex3": (lambda x: (x + 1.0) ** 2, lambda x: x / (x + 1.0)),
+    "ex4": (lambda x: x**4 + math.exp(-x), lambda x: -2.0 * math.cos(math.pi * x)),
+}
+CHECK_POINTS = np.arange(1, 17) / 16.0
+MAX_ORDER = 12
+
+
+def scipy_flux_integrals(f, weights, length, alpha, beta, points):
+    """alpha + int_0^x w(s) (-beta + int_s^L f) ds for each weight w at each
+    ascending point, by nested scipy quadrature; one row per point."""
+    def integrand(s):
+        flux = -beta + quad(f, s, length, epsabs=1e-14, epsrel=1e-13)[0]
+        return flux * np.array([w(s) for w in weights])
+
+    rows, total, left = [], np.full(len(weights), float(alpha)), 0.0
+    for x in points:
+        total = total + quad_vec(integrand, left, x, epsabs=1e-15, epsrel=1e-14, norm="max")[0]
+        rows.append(total)
+        left = x
+    return np.array(rows)
+
+
+def truncated_series(kappa, m):
+    """G_M(s) = sum_{j<=m} (-log kappa(s))^j / j!."""
+    def weight(s):
+        minus_psi = -math.log(kappa(s))
+        return sum(minus_psi**j / math.factorial(j) for j in range(m + 1))
+    return weight
+
+
+# quad warns where its relative tolerance is below rounding, as near s = L
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestChebyshevOracle:
+    """The oracle against nested scipy quadrature that does not use ellip1d."""
+
+    @pytest.mark.parametrize("pid", ALL_IDS)
+    def test_matches_nested_scipy_quadrature(self, pid):
+        kappa, f = RESTATED[pid]
+        weights = [lambda s: 1.0 / kappa(s)]
+        weights += [truncated_series(kappa, m) for m in range(1, MAX_ORDER + 1)]
+        expected = scipy_flux_integrals(f, weights, 1.0, 0.0, 0.0, CHECK_POINTS)
+
+        problem = builtin_problem(pid)
+        fields = [exact_solution_via_flux(problem, 1e-10)]
+        fields += [semi_analytic_U_M(problem, m, 1e-10) for m in range(1, MAX_ORDER + 1)]
+        computed = np.column_stack([u(CHECK_POINTS) for u in fields])
+        assert np.abs(computed - expected).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(positive_problems(max_n=1, psi_amp=0.5))
+    def test_random_positive_problems(self, drawn):
+        problem, _ = drawn
+        points = problem.length * np.array([0.25, 0.6, 1.0])
+        expected = scipy_flux_integrals(
+            problem.f, [lambda s: 1.0 / problem.kappa(s)], problem.length,
+            problem.alpha, problem.beta, points,
+        )[:, 0]
+        computed = exact_solution_via_flux(problem, 1e-9)(points)
+        assert np.abs(computed - expected).max() <= 1e-11
+
+    def test_unresolvable_load_raises_accuracy_error(self):
+        rough = unit_problem(f=field(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0))), name="rough")
+        with pytest.raises(AccuracyError, match="load of rough") as info:
+            exact_solution_via_flux(rough, tol=1e-9)
+        assert 1e-9 < info.value.error_estimate < 1e-3
+
+    def test_rejects_nonpositive_tolerance(self, ex1):
+        for build in (lambda: exact_solution_via_flux(ex1, 0.0),
+                      lambda: semi_analytic_U_M(ex1, 2, -1e-9),
+                      lambda: flux_field(ex1, 0.0)):
+            with pytest.raises(ValueError, match="tolerance"):
+                build()
+
+    def test_field_survives_dataclass_replace(self, ex1):
+        # a wrapper may swap .fn with dataclasses.replace and keep the rest
+        u = exact_solution_via_flux(ex1, tol=1e-9)
+        rewrapped = dataclasses.replace(u, fn=lambda x: 2.0 * u.fn(x))
+        assert rewrapped.derivative is u.derivative
+        assert rewrapped(0.5) == pytest.approx(2.0 * ex1.exact(0.5), abs=1e-15)
