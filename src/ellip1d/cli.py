@@ -19,7 +19,14 @@ import math
 import sys
 
 from .bench import BENCH_CSV_HEADER, run_benchmark
-from .decompose import Method, MethodConfig, solve_improved, solve_original
+from .decompose import (
+    Method,
+    MethodConfig,
+    solve_improved,
+    solve_improved_orders,
+    solve_original,
+    truncated_sum,
+)
 from .fem import QuadratureRule, fem_solve
 from .integrate import AccuracyError
 from .norms import (
@@ -189,33 +196,42 @@ def cmd_solve(args) -> list[str]:
 def table_reports(problem, method: Method, n_list, m_list, rule) -> list[ErrorReport]:
     """Error grid in row-major (N outer, M inner) order.
 
-    Problems without a closed form are scored against a direct solve on a
-    fine nested mesh, the coarse solution being interpolated onto it.
+    Each row (one N) builds one mesh and one u_0: the direct solve ignores M
+    and is scored once for every column, the original method runs once to
+    the largest M and takes each column as a prefix sum of its terms, and
+    the improved method reads every G_M off one series pass. Problems without
+    a closed form are scored against a direct solve on a fine nested mesh,
+    the coarse solution being interpolated onto it.
     """
     fine = None
     if problem.name not in _CLOSED_FORM:
         fine = fem_solve(problem, FINE_GRID_ELEMS, rule)
+
+    def score(approx):
+        if fine is None:
+            return (l2_error(approx, problem.exact, ERROR_RULE),
+                    h1_seminorm_error(approx, problem.exact_derivative, ERROR_RULE),
+                    Reference.CLOSED_FORM)
+        return (fine_grid_l2_error(approx, fine), fine_grid_h1_error(approx, fine),
+                Reference.FINE_GRID)
+
+    orders = sorted(set(m_list))
     reports = []
     for n in n_list:
+        if method is Method.DIRECT:
+            row = dict.fromkeys(orders, score(fem_solve(problem, n, rule)))
+        elif method is Method.ORIGINAL:
+            result = solve_original(problem, n, orders[-1], rule)
+            row = {m: score(truncated_sum(result.u0, result.terms[:m])) for m in orders}
+        else:
+            _, totals = solve_improved_orders(problem, n, orders, rule)
+            row = {m: score(total) for m, total in zip(orders, totals)}
         for m in m_list:
-            approx = _run_method(problem, method, n, m, rule)
-            if fine is None:
-                reports.append(ErrorReport(
-                    problem=problem.name, method=method.value, n_elems=n,
-                    truncation=m,
-                    l2_error=l2_error(approx, problem.exact, ERROR_RULE),
-                    h1_error=h1_seminorm_error(
-                        approx, problem.exact_derivative, ERROR_RULE),
-                    reference=Reference.CLOSED_FORM,
-                ))
-            else:
-                reports.append(ErrorReport(
-                    problem=problem.name, method=method.value, n_elems=n,
-                    truncation=m,
-                    l2_error=fine_grid_l2_error(approx, fine),
-                    h1_error=fine_grid_h1_error(approx, fine),
-                    reference=Reference.FINE_GRID,
-                ))
+            l2, h1, ref = row[m]
+            reports.append(ErrorReport(
+                problem=problem.name, method=method.value, n_elems=n,
+                truncation=m, l2_error=l2, h1_error=h1, reference=ref,
+            ))
     return reports
 
 

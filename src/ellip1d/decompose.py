@@ -16,14 +16,22 @@ G_M = sum_{j<=M} (-psi)^j/j!:
 
 Both paths share one unit-coefficient operator, whose element conductances
 are set up once; each solve is one flux sweep (fem.flux_sweep), the discrete
-flux identity. The work difference is M + 1 versus 2 solves and M versus 1
-weighted-gradient load assemblies.
+flux identity. In P1 every u_m' is constant per element, so Gauss assembly
+of the chain sees psi only through the element moments mu_{j,e}, the Gauss
+mean over element e of psi^j / j!: the load of term m is the element flux
+
+    c_{m,e} = - sum_{j=1}^{m} mu_{j,e} u_{m-j,e}',
+
+and likewise U_M' = Q_e(G_M) u_0' with Q_e the element's Gauss mean. The
+recursion computes each mu_j once, assembles each term's load once from its
+summed fluxes and sweeps it, so it remains a chain of M + 1 solves. The
+cost model is unchanged: M + 1 versus 2 solves and M versus 1 load
+assemblies.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +43,7 @@ from .fem import (
     assemble_load,
     assemble_stiffness,
     build_mesh,
+    flux_load,
     flux_sweep,
     gradient_load_from_values,
 )
@@ -45,6 +54,7 @@ from .problems import (
     flux_weighted_antiderivative,
     g_m,
     psi_of,
+    series_partial_sums,
 )
 
 __all__ = [
@@ -54,6 +64,8 @@ __all__ = [
     "solve_u0",
     "solve_original",
     "solve_improved",
+    "solve_improved_orders",
+    "truncated_sum",
     "term_gradient",
     "semi_analytic_U_M",
 ]
@@ -101,7 +113,6 @@ class DecompositionResult:
     solve_count: int
     assembly_count: int
     factorization_count: int
-    wall_time: float
 
 
 class _UnitOperator:
@@ -132,65 +143,85 @@ def solve_original(
 ) -> DecompositionResult:
     """Recursive decomposition: one solve per term u_1 ... u_M.
 
-    All subproblems share the unit-coefficient operator, set up once. The
-    flux terms of the corrections are natural in the weak form and cancel,
-    so no boundary assembly happens beyond the -beta term in the u_0 load.
-    truncation = 0 degenerates to the plain u_0 solve.
+    All subproblems share the unit-coefficient operator, set up once. With
+    mu_j the per-element Gauss mean of psi^j / j!, the load of term m is the
+    element flux c_m = -sum_{j=1}^{m} mu_j u_{m-j}', assembled once from the
+    slopes of the terms before it. The flux terms of the corrections are
+    natural in the weak form and cancel, so no boundary assembly happens
+    beyond the -beta term in the u_0 load. truncation = 0 degenerates to the
+    plain u_0 solve.
     """
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
-    start = time.perf_counter()
     mesh = build_mesh(problem.length, n_elems)
     op = _UnitOperator(mesh, rule)
     load = assemble_load(mesh, problem.f, rule, beta=problem.beta)
     u0 = op.solve(load, problem.alpha)
 
-    # psi at every quadrature point, reused by all weight powers
     psi_vals = psi_of(problem.kappa)(mesh.element_points(rule))
-
-    solves = 1
-    assemblies = 0
+    power = np.ones_like(psi_vals)  # psi^j / j! at the quadrature points
+    moments: list[np.ndarray] = []  # mu_1 ... mu_m
+    slopes = [u0.derivative_values()]  # u_0' ... u_{m-1}'
     terms: list[NodalFunction] = []
-    weights = [np.ones_like(psi_vals)]  # psi^j / j!, grown on demand
     for m in range(1, truncation + 1):
-        weights.append(weights[-1] * psi_vals / m)
-        rhs = np.zeros(n_elems + 1)
-        for j in range(1, m + 1):
-            prior = terms[m - j - 1] if m - j >= 1 else u0
-            rhs -= gradient_load_from_values(mesh, weights[j], prior, rule)
-        assemblies += 1
-        terms.append(op.solve(rhs, 0.0))
-        solves += 1
+        power = power * psi_vals / m
+        moments.append(power @ rule.weights)
+        flux = np.zeros(n_elems)
+        for mu, slope in zip(moments, reversed(slopes)):  # mu_j u_{m-j}', j = 1..m
+            flux -= mu * slope
+        terms.append(op.solve(flux_load(flux), 0.0))
+        slopes.append(terms[-1].derivative_values())
 
-    total = u0.values + np.sum([t.values for t in terms], axis=0)
     return DecompositionResult(
         u0=u0,
-        U_M=NodalFunction(mesh, total),
+        U_M=truncated_sum(u0, terms),
         terms=tuple(terms),
-        solve_count=solves,
-        assembly_count=assemblies,
+        solve_count=truncation + 1,
+        assembly_count=truncation,
         factorization_count=1,
-        wall_time=time.perf_counter() - start,
     )
+
+
+def truncated_sum(u0: NodalFunction, terms) -> NodalFunction:
+    """u_0 plus the given correction terms, added in order.
+
+    A run to order M and the first m terms of a longer run give the same
+    U_m bit for bit, since term m never depends on later terms.
+    """
+    return NodalFunction(u0.mesh, u0.values + np.sum([t.values for t in terms], axis=0))
+
+
+def solve_improved_orders(
+    problem: Problem, n_elems: int, truncations, rule: QuadratureRule
+) -> tuple[NodalFunction, list[NodalFunction]]:
+    """u_0 and the two-solve U_M for every M in truncations, in that order.
+
+    psi is evaluated at the quadrature points once and G_M is read off one
+    pass of the series recurrence; each distinct M then costs one load
+    assembly and one sweep. Every U_M is bit-identical to a run of its
+    order alone.
+    """
+    if min(truncations) < 1:
+        raise ValueError(f"truncation order must be >= 1, got {min(truncations)}")
+    mesh = build_mesh(problem.length, n_elems)
+    op = _UnitOperator(mesh, rule)
+    load = assemble_load(mesh, problem.f, rule, beta=problem.beta)
+    u0 = op.solve(load, problem.alpha)
+
+    psi_vals = psi_of(problem.kappa)(mesh.element_points(rule))
+    series = series_partial_sums(psi_vals, truncations)
+    totals = {
+        m: op.solve(gradient_load_from_values(mesh, g, u0, rule), problem.alpha)
+        for m, g in series.items()
+    }
+    return u0, [totals[m] for m in truncations]
 
 
 def solve_improved(
     problem: Problem, n_elems: int, truncation: int, rule: QuadratureRule
 ) -> DecompositionResult:
     """Two-solve decomposition: u_0, then U_M against the series weight G_M."""
-    if truncation < 1:
-        raise ValueError(f"truncation order must be >= 1, got {truncation}")
-    start = time.perf_counter()
-    mesh = build_mesh(problem.length, n_elems)
-    op = _UnitOperator(mesh, rule)
-    load = assemble_load(mesh, problem.f, rule, beta=problem.beta)
-    u0 = op.solve(load, problem.alpha)
-
-    series = g_m(psi_of(problem.kappa), truncation)
-    rhs = gradient_load_from_values(
-        mesh, series(mesh.element_points(rule)), u0, rule
-    )
-    total = op.solve(rhs, problem.alpha)
+    u0, (total,) = solve_improved_orders(problem, n_elems, [truncation], rule)
     return DecompositionResult(
         u0=u0,
         U_M=total,
@@ -198,7 +229,6 @@ def solve_improved(
         solve_count=2,
         assembly_count=1,
         factorization_count=1,
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "assemble_gradient_load",
+    "flux_load",
     "apply_dirichlet",
     "factorize",
     "solve_tridiagonal",
@@ -216,8 +217,16 @@ def gradient_load_from_values(
     """assemble_gradient_load with the weight already evaluated at element points."""
     # h * sum_q w_q weight_q gives int_e weight; multiplying by w'_e and the
     # hat slope -+1/h cancels both h factors
-    c = (weight_values @ rule.weights) * np.diff(w.values) / mesh.h
-    out = np.zeros(mesh.n_elems + 1)
+    return flux_load((weight_values @ rule.weights) * np.diff(w.values) / mesh.h)
+
+
+def flux_load(c: np.ndarray) -> np.ndarray:
+    """Load vector of the element fluxes c: -c_e at node e, +c_e at node e + 1.
+
+    Its entries right of element e sum to c_e, so flux_sweep hands c_e back
+    as that element's flux.
+    """
+    out = np.zeros(len(c) + 1)
     out[:-1] -= c
     out[1:] += c
     return out

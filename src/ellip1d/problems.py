@@ -132,23 +132,36 @@ def psi_of(kappa: ScalarField) -> ScalarField:
     return ScalarField(fn, f"log({kappa.description or 'coefficient'})")
 
 
-def g_m(psi: ScalarField, m: int) -> ScalarField:
-    """Partial sum sum_{j=0}^m (-psi)^j / j! of the reciprocal-coefficient series.
+def series_partial_sums(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
+    """G_m = sum_{j=0}^m (-psi)^j / j! at psi_values, for every m in orders.
 
-    Terms are accumulated multiplicatively (term_j = term_{j-1} * (-psi) / j),
-    so large m never touches an explicit factorial.
+    One pass of the recurrence up to max(orders), keyed by order. Terms are
+    accumulated multiplicatively (term_j = term_{j-1} * (-psi) / j), so large
+    m never touches an explicit factorial, and each G_m is the same array
+    whichever other orders share the pass.
     """
+    wanted = set(orders)
+    if min(wanted) < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {min(wanted)}")
+    total = np.ones_like(psi_values)
+    term = np.ones_like(psi_values)
+    sums = {0: total} if 0 in wanted else {}
+    for j in range(1, max(wanted) + 1):
+        term = term * (-psi_values) / j
+        total = total + term
+        if j in wanted:
+            sums[j] = total
+    return sums
+
+
+def g_m(psi: ScalarField, m: int) -> ScalarField:
+    """Partial sum sum_{j=0}^m (-psi)^j / j! of the reciprocal-coefficient series."""
     if m < 0:
         raise ValueError(f"truncation order must be nonnegative, got {m}")
 
     def fn(x):
         p = np.broadcast_to(np.asarray(psi(x), dtype=float), x.shape)
-        total = np.ones_like(p)
-        term = np.ones_like(p)
-        for j in range(1, m + 1):
-            term = term * (-p) / j
-            total = total + term
-        return total
+        return series_partial_sums(p, [m])[m]
 
     return ScalarField(fn, f"truncated exp(-psi), {m + 1} terms")
 

@@ -1,6 +1,22 @@
 import pytest
 
-from ellip1d.cli import REPORT_CSV_HEADER, build_parser, main, table_sci
+from ellip1d import QuadratureRule, builtin_problem, fem_solve
+from ellip1d.cli import (
+    FINE_GRID_ELEMS,
+    REPORT_CSV_HEADER,
+    build_parser,
+    main,
+    table_reports,
+    table_sci,
+)
+from ellip1d.decompose import Method, solve_improved, solve_original
+from ellip1d.norms import (
+    ERROR_RULE,
+    fine_grid_h1_error,
+    fine_grid_l2_error,
+    h1_seminorm_error,
+    l2_error,
+)
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +145,36 @@ class TestTable:
         )
         value = out.strip().split("\n")[1].split(",")[4]
         assert len(value.split("e")[0].replace(".", "").lstrip("-").lstrip("0")) >= 15
+
+
+class TestTableRowsFromOneRun:
+    """Each table row comes from one u_0 per N; every cell must still equal
+    the per-cell solve of its (N, M), scored the same way, bit for bit."""
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_cells_equal_per_cell_runs(self, pid, method):
+        problem = builtin_problem(pid)
+        rule = QuadratureRule.gauss(3)
+        n_list, m_list = [16, 8, 16], [6, 2, 6, 3]
+        fine = fem_solve(problem, FINE_GRID_ELEMS, rule) if pid == "ex4" else None
+        reports = table_reports(problem, method, n_list, m_list, rule)
+        assert [(r.n_elems, r.truncation) for r in reports] == [
+            (n, m) for n in n_list for m in m_list]
+        for r in reports:
+            if method is Method.DIRECT:
+                approx = fem_solve(problem, r.n_elems, rule)
+            else:
+                solver = solve_original if method is Method.ORIGINAL else solve_improved
+                approx = solver(problem, r.n_elems, r.truncation, rule).U_M
+            if fine is None:
+                expected = (l2_error(approx, problem.exact, ERROR_RULE),
+                            h1_seminorm_error(approx, problem.exact_derivative, ERROR_RULE))
+            else:
+                expected = (fine_grid_l2_error(approx, fine),
+                            fine_grid_h1_error(approx, fine))
+            assert (r.l2_error, r.h1_error) == expected, (r.n_elems, r.truncation)
+            assert r.method == method.value
 
 
 class TestBench:

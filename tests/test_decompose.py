@@ -2,22 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellip1d import constant_field, exact_solution_via_flux, psi_of
+from ellip1d import QuadratureRule, constant_field, exact_solution_via_flux, g_m, psi_of
 from ellip1d.decompose import (
     Method,
     MethodConfig,
     semi_analytic_U_M,
     solve_improved,
+    solve_improved_orders,
     solve_original,
     solve_u0,
     term_gradient,
+    truncated_sum,
 )
-from ellip1d.fem import assemble_gradient_load, assemble_stiffness, tridiagonal_matvec
+from ellip1d.fem import (
+    assemble_gradient_load,
+    assemble_stiffness,
+    build_mesh,
+    tridiagonal_matvec,
+)
 from ellip1d.norms import h1_seminorm, sup_norm
-from ellip1d.problems import ScalarField
+from ellip1d.problems import ScalarField, series_partial_sums
 
-from conftest import field, unit_problem
+from conftest import field, positive_problems, unit_problem
+
+EPS = np.finfo(float).eps
+RULE3 = QuadratureRule.gauss(3)
 
 
 class TestMethodConfig:
@@ -79,7 +91,6 @@ class TestSolveOriginal:
             assert result.assembly_count == m
             assert result.factorization_count == 1
             assert len(result.terms) == m
-            assert result.wall_time > 0.0
 
     def test_truncated_sum_is_sum_of_terms(self, rule3, ex3):
         result = solve_original(ex3, 128, 5, rule3)
@@ -239,3 +250,89 @@ class TestSeriesRecursionIdentity:
             total += coeff * (-1.0) ** (m - j) * psi_vals**m
         first = psi_vals**m / math.factorial(m - 1)
         assert np.abs(total).max() <= 1e-12 * max(np.abs(first).max(), 1.0)
+
+
+def element_means(problem, n, values_of_psi):
+    """Per-element Gauss mean of values_of_psi(psi) over the 3-point rule."""
+    mesh = build_mesh(problem.length, n)
+    psi = psi_of(problem.kappa)(mesh.element_points(RULE3))
+    return values_of_psi(psi) @ RULE3.weights
+
+
+class TestMomentIdentities:
+    """The per-element slope identities both decomposition methods rest on.
+
+    With Q_e the Gauss mean over element e and mu_{j,e} = Q_e(psi^j / j!),
+    the recursion gives u_m' = -sum_j mu_j u_{m-j}' per element and the
+    two-solve method gives U_M' = Q_e(G_M) u_0'. The means here are computed
+    from explicit powers, not from the solvers' recurrences. Both sides of
+    each identity are read off swept nodal values, whose slopes carry about
+    N eps of the largest flux of rounding.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=positive_problems(max_n=256, psi_amp=0.5), m=st.integers(1, 7))
+    def test_original_moment_recursion(self, case, m):
+        problem, n = case
+        result = solve_original(problem, n, m, RULE3)
+        mu = [element_means(problem, n, lambda p, j=j: p**j / math.factorial(j))
+              for j in range(m + 1)]
+        slopes = [result.u0.derivative_values()]
+        slopes += [t.derivative_values() for t in result.terms]
+        for k in range(1, m + 1):
+            products = [mu[j] * slopes[k - j] for j in range(1, k + 1)]
+            expected = -np.sum(products, axis=0)
+            scale = np.abs(products).sum(axis=0).max() + np.abs(slopes[k]).max()
+            gap = np.abs(slopes[k] - expected).max()
+            assert gap <= 4 * (n + k) * EPS * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=positive_problems(max_n=256, psi_amp=0.5), m=st.integers(1, 12))
+    def test_improved_slope_is_mean_of_series_times_u0_slope(self, case, m):
+        problem, n = case
+        result = solve_improved(problem, n, m, RULE3)
+        mean_g = element_means(
+            problem, n,
+            lambda p: sum((-p) ** j / math.factorial(j) for j in range(m + 1)))
+        expected = mean_g * result.u0.derivative_values()
+        slope = result.U_M.derivative_values()
+        h = problem.length / n
+        scale = np.abs(expected).max() + np.abs(result.U_M.values).max() / h
+        assert np.abs(slope - expected).max() <= 4 * n * EPS * scale
+
+
+class TestOneRunManyOrders:
+    def test_series_snapshots_match_g_m(self, ex2):
+        psi = psi_of(ex2.kappa)
+        x = np.linspace(0.0, 1.0, 301)
+        sums = series_partial_sums(psi(x), [7, 0, 3, 7])
+        assert sorted(sums) == [0, 3, 7]
+        for m, values in sums.items():
+            np.testing.assert_array_equal(values, g_m(psi, m)(x))
+
+    def test_series_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            series_partial_sums(np.zeros(3), [2, -1])
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_improved_orders_bit_identical_to_single_runs(self, rule3, pid, request):
+        problem = request.getfixturevalue(pid)
+        orders = [6, 2, 6, 1, 10]
+        u0, totals = solve_improved_orders(problem, 64, orders, rule3)
+        np.testing.assert_array_equal(u0.values, solve_u0(problem, 64, rule3).values)
+        for m, total in zip(orders, totals):
+            np.testing.assert_array_equal(
+                total.values, solve_improved(problem, 64, m, rule3).U_M.values)
+
+    def test_improved_orders_reject_order_zero(self, rule3, ex1):
+        with pytest.raises(ValueError, match=">= 1"):
+            solve_improved_orders(ex1, 16, [3, 0], rule3)
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_original_prefix_sums_bit_identical_to_single_runs(self, rule3, pid, request):
+        problem = request.getfixturevalue(pid)
+        longest = solve_original(problem, 64, 8, rule3)
+        for m in range(0, 9):
+            np.testing.assert_array_equal(
+                truncated_sum(longest.u0, longest.terms[:m]).values,
+                solve_original(problem, 64, m, rule3).U_M.values)

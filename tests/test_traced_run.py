@@ -1,0 +1,40 @@
+"""A short traced benchmark run must still report every per-layer metric.
+
+perfbench/run.py --trace 1 exits 0 even when a traced function no longer
+exists: it drops the metrics built from it. This runs the cheapest workload
+for one second under the tracer, as a separate process from a scratch
+checkout that links the package sources (so its spans file lands there),
+and checks its result line against BENCHMARK.json.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
+def test_traced_table_sweep_reports_every_layer_metric(tmp_path):
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "table-sweep",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    last = done.stdout.strip().splitlines()[-1]
+    result = json.loads(last, parse_constant=_reject_constant)
+    assert result["correct"] is True, done.stderr[-2000:]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    wanted = {metric["name"] for metric in spec["per_layer"]}
+    missing = sorted(wanted - set(result["metrics"]))
+    assert not missing, f"traced run lost per-layer metrics: {missing}"
