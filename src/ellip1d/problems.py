@@ -12,9 +12,13 @@ the flux identity
 which yields reference solutions from two antiderivatives: u(x) = alpha +
 int_0^x kappa(s)^-1 (-beta + int_s^L f) ds. Each integrand is interpolated
 at Chebyshev points on [0, L] to rounding level and its Chebyshev series
-integrated exactly (Battles & Trefethen, SIAM J. Sci. Comput. 25, 2004). The
-same construction with the reciprocal coefficient replaced by its truncated
-exponential series produces the mesh-free limit of the decomposition methods.
+integrated exactly (Battles & Trefethen, SIAM J. Sci. Comput. 25, 2004). An
+integrand that degree 64 does not resolve is bisected into panels of degree
+at most 64, at most 128 of them, and the panel antiderivatives are chained
+(Pachon, Platte & Trefethen, "Piecewise-smooth chebfuns", IMA J. Numer. Anal.
+30, 2010). The same construction with the reciprocal coefficient replaced by
+its truncated exponential series produces the mesh-free limit of the
+decomposition methods.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ def constant_field(value: float, description: str = "") -> ScalarField:
     )
 
 
-_VALIDATION_SAMPLES = 65536  # dense positivity certificate for kappa
+# kappa is checked at this many + 1 equispaced points: the sampled minimum is
+# an upper estimate of the true one, not a certificate of positivity
+_VALIDATION_SAMPLES = 65536
 
 
 @dataclass(frozen=True)
@@ -166,57 +172,157 @@ def g_m(psi: ScalarField, m: int) -> ScalarField:
     return ScalarField(fn, f"truncated exp(-psi), {m + 1} terms")
 
 
-_CHEB_START = 16  # first interpolation degree tried
-_CHEB_MAX = 8192  # degree cap: 8193 samples
+_CHEB_START = 16  # first interpolation degree tried on [0, L]
+_CHEB_CAP = 64  # highest degree of one panel; a field unresolved at it is bisected
+_PANEL_BUDGET = 128  # most panels of one field: 8320 samples, about one degree-8192 fit
+_MIN_PANEL = 2.0**-30  # narrowest panel, as a fraction of L
 _CHEB_TAIL = 4.0  # trailing coefficients must fall below this many eps of the scale
 _EPS = float(np.finfo(float).eps)
 
 
-def _chebyshev_coefficients(fn: ScalarField, length: float, name: str) -> np.ndarray:
-    """Chebyshev coefficients of fn on [0, length], resolved to rounding level.
+def _fit(fn: ScalarField, lefts, rights, n: int, name: str, length: float):
+    """Degree-n Chebyshev coefficients of fn on each panel [lefts[i], rights[i]].
 
-    fn is sampled at the n + 1 Chebyshev-Lobatto points, and one real FFT of
-    the mirrored samples gives the coefficients. n doubles from 16 until the
-    trailing eighth of them is below a few eps of the largest sample; then
-    the trailing coefficients below eps of it are chopped.
+    fn is sampled once at the n + 1 Chebyshev-Lobatto points of every panel,
+    and one real FFT of the mirrored samples along axis 1 gives one row of
+    coefficients per panel. Returns the rows, their trailing-eighth maxima
+    and the largest sample magnitude.
     """
-    n = _CHEB_START
-    while True:
-        t = np.cos(np.pi * np.arange(n + 1) / n)
-        vals = fn(0.5 * length * (1.0 + t))
-        if not np.all(np.isfinite(vals)):
-            raise AccuracyError(f"{name} is not finite on [0, {length}]")
-        coeffs = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
-        coeffs[[0, n]] *= 0.5
-        scale = float(np.max(np.abs(vals)))
-        tail = float(np.max(np.abs(coeffs[-(n // 8):])))
-        if tail <= _CHEB_TAIL * _EPS * scale:
-            break
-        if n >= _CHEB_MAX:
-            raise AccuracyError(
-                f"{name} is not resolved by {n + 1} Chebyshev points "
-                f"(trailing coefficients {tail:.2e})",
-                error_estimate=tail,
-            )
-        n *= 2
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    vals = fn(lefts[:, None] + 0.5 * (rights - lefts)[:, None] * (1.0 + t))
+    if not np.all(np.isfinite(vals)):
+        raise AccuracyError(f"{name} is not finite on [0, {length}]")
+    coeffs = np.fft.rfft(np.concatenate([vals, vals[:, -2:0:-1]], axis=1), axis=1).real / n
+    coeffs[:, [0, n]] *= 0.5
+    tails = np.max(np.abs(coeffs[:, -(n // 8):]), axis=1)
+    return coeffs, tails, float(np.max(np.abs(vals)))
+
+
+def _chop(coeffs: np.ndarray, scale: float) -> np.ndarray:
+    """Drop the trailing coefficients below eps of scale."""
     kept = np.flatnonzero(np.abs(coeffs) > _EPS * scale)
     return coeffs[: kept[-1] + 1] if len(kept) else np.zeros(1)
 
 
-def _antiderivative(fn: ScalarField, length: float, name: str) -> np.ndarray:
-    """Chebyshev coefficients of int_0^x fn on [0, length]."""
-    return chebint(_chebyshev_coefficients(fn, length, name), lbnd=-1, scl=0.5 * length)
+def _chebyshev_coefficients(fn: ScalarField, length: float, name: str):
+    """Piecewise Chebyshev coefficients of fn on [0, length], resolved to rounding level.
+
+    Returns the breakpoints and one coefficient array per panel. The degree
+    on [0, length] doubles from 16 until the trailing eighth of the
+    coefficients is below a few eps of the largest sample. A field still
+    unresolved at degree 64 is bisected (Pachon, Platte & Trefethen, IMA J.
+    Numer. Anal. 30, 2010): each level splits every unresolved panel in two
+    and refits all halves at degree 64 in one call of fn, with the largest
+    sample so far as the common scale. Trailing coefficients below eps of the
+    scale are chopped. More than 128 panels, or a panel narrower than
+    2^-30 length, raises AccuracyError with the largest trailing coefficient
+    of the panels still unresolved.
+    """
+    lefts, rights = np.zeros(1), np.array([float(length)])
+    n = _CHEB_START
+    while True:
+        coeffs, tails, scale = _fit(fn, lefts, rights, n, name, length)
+        if tails[0] <= _CHEB_TAIL * _EPS * scale:
+            return np.array([0.0, length]), [_chop(coeffs[0], scale)]
+        if n >= _CHEB_CAP:
+            break
+        n *= 2
+    panels = []
+    while len(lefts):
+        mids = 0.5 * (lefts + rights)
+        over_budget = len(panels) + 2 * len(lefts) > _PANEL_BUDGET
+        if over_budget or np.min(mids - lefts) < _MIN_PANEL * length:
+            limit = (f"{_PANEL_BUDGET} Chebyshev panels" if over_budget
+                     else "Chebyshev panels as narrow as 2^-30 of the domain")
+            tail = float(np.max(tails))
+            raise AccuracyError(
+                f"{name} is not resolved by {limit} of degree {_CHEB_CAP} "
+                f"(trailing coefficients {tail:.2e})",
+                error_estimate=tail,
+            )
+        lefts, rights = np.concatenate([lefts, mids]), np.concatenate([mids, rights])
+        coeffs, tails, level_scale = _fit(fn, lefts, rights, _CHEB_CAP, name, length)
+        scale = max(scale, level_scale)
+        done = tails <= _CHEB_TAIL * _EPS * scale
+        panels += [(a, _chop(c, scale)) for a, c in zip(lefts[done], coeffs[done])]
+        lefts, rights, tails = lefts[~done], rights[~done], tails[~done]
+    panels.sort(key=lambda panel: panel[0])
+    return np.array([a for a, _ in panels] + [length]), [c for _, c in panels]
+
+
+def _antiderivative(fn: ScalarField, length: float, name: str):
+    """Breakpoints and per-panel Chebyshev coefficients of int_0^x fn on [0, length].
+
+    Each panel's antiderivative starts from the previous panel's end value.
+    """
+    breaks, pieces = _chebyshev_coefficients(fn, length, name)
+    integrals = []
+    for a, b, coeffs in zip(breaks[:-1], breaks[1:], pieces):
+        integral = chebint(coeffs, lbnd=-1, scl=0.5 * (b - a))
+        if integrals:
+            integral[0] += chebval(1.0, integrals[-1])
+        integrals.append(integral)
+    return breaks, integrals
 
 
 def _chebyshev_field(
-    coeffs: np.ndarray, length: float, description: str, derivative=None
+    breaks: np.ndarray, pieces: list, description: str, derivative=None
 ) -> ScalarField:
+    """The piecewise Chebyshev series as a field on [breaks[0], breaks[-1]].
+
+    Points are grouped by panel (searchsorted, then a stable argsort, which
+    is linear on sorted points) and each panel is summed by one chebval; a
+    point on a breakpoint belongs to the panel on its right.
+    """
+    length = float(breaks[-1])
+
     def fn(x):
         if x.size and (x.min() < 0.0 or x.max() > length):
             raise ValueError(f"evaluation point outside [0, {length}]")
-        return chebval((2.0 * x - length) / length, coeffs)
+        if len(pieces) == 1:
+            return chebval((2.0 * x - length) / length, pieces[0])
+        flat = x.ravel()
+        panel = np.searchsorted(breaks[1:-1], flat, side="right")
+        order = np.argsort(panel, kind="stable")
+        ends = np.cumsum(np.bincount(panel, minlength=len(pieces)))
+        out = np.empty(flat.shape)
+        start = 0
+        for a, b, coeffs, end in zip(breaks[:-1], breaks[1:], pieces, ends):
+            if end > start:
+                idx = order[start:end]
+                out[idx] = chebval((2.0 * flat[idx] - (a + b)) / (b - a), coeffs)
+            start = end
+        return out.reshape(x.shape)
 
     return ScalarField(fn, description, derivative=derivative)
+
+
+def _flux(f: ScalarField, length: float, beta: float, name: str) -> ScalarField:
+    """-beta + int_x^L f as a piecewise Chebyshev field."""
+    breaks, load_integral = _antiderivative(f, length, f"load of {name}")
+    end_value = chebval(1.0, load_integral[-1]) - beta
+    pieces = [-coeffs for coeffs in load_integral]
+    for coeffs in pieces:
+        coeffs[0] += end_value
+    return _chebyshev_field(breaks, pieces, f"flux of {name}")
+
+
+def _weighted_antiderivative(
+    flux: ScalarField, weight: ScalarField, length: float, alpha: float, description: str
+) -> ScalarField:
+    """alpha + int_0^x weight(s) flux(s) ds, carrying its integrand as .derivative."""
+    integrand = ScalarField(
+        lambda arr: weight(arr) * flux(arr),
+        f"derivative of {description}",
+    )
+    breaks, pieces = _antiderivative(integrand, length, integrand.description)
+    for coeffs in pieces:
+        coeffs[0] += alpha
+    return _chebyshev_field(breaks, pieces, description, derivative=integrand)
+
+
+def _reciprocal(kappa: ScalarField) -> ScalarField:
+    return ScalarField(lambda x: 1.0 / kappa(x), f"1/({kappa.description})")
 
 
 def flux_field(problem: Problem, tol: float) -> ScalarField:
@@ -224,15 +330,12 @@ def flux_field(problem: Problem, tol: float) -> ScalarField:
 
     This equals the derivative of the unit-coefficient solution of the same
     data, which seeds both decomposition methods. It is the antiderivative of
-    the Chebyshev interpolant of f, resolved to rounding level whatever tol
-    (which must be positive) asks for.
+    the piecewise Chebyshev interpolant of f, resolved to rounding level
+    whatever tol (which must be positive) asks for.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    load_integral = _antiderivative(problem.f, problem.length, f"load of {problem.name}")
-    coeffs = -load_integral
-    coeffs[0] += chebval(1.0, load_integral) - problem.beta
-    return _chebyshev_field(coeffs, problem.length, f"flux of {problem.name}")
+    return _flux(problem.f, problem.length, problem.beta, problem.name)
 
 
 def flux_weighted_antiderivative(
@@ -241,27 +344,19 @@ def flux_weighted_antiderivative(
     """alpha + int_0^x weight(s) (kappa u')(s) ds as a Chebyshev antiderivative.
 
     The integrand weight * flux is interpolated at Chebyshev points to
-    rounding level and integrated once; tol must be positive but does not
-    limit the accuracy. An integrand the degree cap cannot resolve raises
-    AccuracyError. The returned field carries its integrand as .derivative.
+    rounding level, on panels where degree 64 does not resolve it, and
+    integrated once; tol must be positive but does not limit the accuracy.
+    An integrand the panel budget cannot resolve raises AccuracyError. The
+    returned field carries its integrand as .derivative.
     """
     flux = flux_field(problem, tol)
-    integrand = ScalarField(
-        lambda arr: weight(arr) * flux(arr),
-        f"derivative of {description}",
-    )
-    coeffs = _antiderivative(integrand, problem.length, integrand.description)
-    coeffs[0] += problem.alpha
-    return _chebyshev_field(coeffs, problem.length, description, derivative=integrand)
+    return _weighted_antiderivative(flux, weight, problem.length, problem.alpha, description)
 
 
 def exact_solution_via_flux(problem: Problem, tol: float) -> ScalarField:
     """Reference solution u(x) = alpha + int_0^x kappa^-1 (-beta + int_s^L f) ds."""
-    inv_kappa = ScalarField(
-        lambda x: 1.0 / problem.kappa(x), f"1/({problem.kappa.description})"
-    )
     return flux_weighted_antiderivative(
-        problem, inv_kappa, tol, f"flux-integral solution of {problem.name}"
+        problem, _reciprocal(problem.kappa), tol, f"flux-integral solution of {problem.name}"
     )
 
 
@@ -327,15 +422,22 @@ def _ex3() -> Problem:
 def _ex4() -> Problem:
     kappa = ScalarField(lambda x: x**4 + np.exp(-x), "x^4 + exp(-x)")
     f = ScalarField(lambda x: -2.0 * np.cos(np.pi * x), "-2 cos(pi x)")
-    base = Problem(name="ex4", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0)
     # the flux 2 sin(pi x)/pi has a closed form, and so has u' = flux / kappa
     exact_d = ScalarField(
         lambda x: 2.0 * np.sin(np.pi * x) / (np.pi * (x**4 + np.exp(-x))),
         "2 sin(pi x)/(pi (x^4 + exp(-x)))",
     )
-    exact = exact_solution_via_flux(base, tol=1e-10)
+    # u itself is the flux oracle, built from the data before the one Problem
+    # that validates them
+    exact = _weighted_antiderivative(
+        _flux(f, 1.0, 0.0, "ex4"), _reciprocal(kappa), 1.0, 0.0,
+        "flux-integral solution of ex4",
+    )
     exact = dataclasses.replace(exact, derivative=exact_d)
-    return dataclasses.replace(base, exact=exact, exact_derivative=exact_d)
+    return Problem(
+        name="ex4", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
+        exact=exact, exact_derivative=exact_d,
+    )
 
 
 _BUILTINS = {"ex1": _ex1, "ex2": _ex2, "ex3": _ex3, "ex4": _ex4}

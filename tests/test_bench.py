@@ -4,9 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from ellip1d import fem_solve, l2_error
-from ellip1d.bench import BENCH_CSV_HEADER, run_benchmark
-from ellip1d.decompose import Method, solve_improved, solve_original
+from ellip1d import bench, builtin_problem, fem_solve, l2_error
+from ellip1d.bench import BENCH_CSV_HEADER, ORACLE_TOL, run_benchmark
+from ellip1d.decompose import Method, semi_analytic_U_M, solve_improved, solve_original
+from ellip1d.norms import ERROR_RULE
+from ellip1d.problems import ScalarField
 
 from conftest import unit_problem
 
@@ -80,6 +82,26 @@ class TestReportShape:
         oracle = semi_analytic_U_M(ex1, 2, 1e-9)
         expected = l2_error(solve_improved(ex1, 64, 2, rule3).U_M, oracle, rule5)
         assert impr.l2_error == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_truncated_oracle_sampled_once(self, pid, rule3, monkeypatch):
+        # both decomposition rows share one sampling of the truncated oracle,
+        # and score exactly as two separate l2_error calls would
+        problem = builtin_problem(pid)
+        samples = []
+
+        def counted_oracle(*args):
+            oracle = semi_analytic_U_M(*args)
+            return ScalarField(lambda x: samples.append(x.size) or oracle(x))
+
+        monkeypatch.setattr(bench, "semi_analytic_U_M", counted_oracle)
+        report = run_benchmark(problem, 48, 3, reps=3)
+        assert samples == [48 * ERROR_RULE.n_points]
+        oracle = semi_analytic_U_M(problem, 3, ORACLE_TOL)
+        for method, solve in ((Method.ORIGINAL, solve_original),
+                              (Method.IMPROVED, solve_improved)):
+            expected = l2_error(solve(problem, 48, 3, rule3).U_M, oracle, ERROR_RULE)
+            assert report.methods[method].l2_error == expected
 
 
 class TestTiming:

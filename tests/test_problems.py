@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad, quad_vec
 
-from ellip1d import builtin_problem, constant_field, exact_solution_via_flux, g_m, psi_of
+from ellip1d import builtin_problem, problems, constant_field, exact_solution_via_flux, g_m, psi_of
 from ellip1d.decompose import semi_analytic_U_M, solve_improved, solve_original
 from ellip1d.fem import QuadratureRule
 from ellip1d.integrate import AccuracyError
@@ -122,6 +123,23 @@ class TestBuiltins:
         k = p.kappa(xs)
         np.testing.assert_allclose(np.exp(psi_of(p.kappa)(xs)), k, rtol=1e-13)
 
+    @pytest.mark.parametrize("pid", ALL_IDS)
+    def test_validated_once(self, pid, monkeypatch):
+        # one Problem per built-in: kappa's dense samples, exact(0) = alpha and
+        # the boundary flux are each checked exactly once
+        calls = []
+        validate = Problem.__post_init__
+        monkeypatch.setattr(
+            Problem, "__post_init__", lambda self: calls.append(self.name) or validate(self)
+        )
+        builtin_problem(pid)
+        assert calls == [pid]
+
+    def test_ex4_exact_is_flux_oracle(self, ex4):
+        xs = np.linspace(0.0, 1.0, 257)
+        np.testing.assert_array_equal(ex4.exact(xs), exact_solution_via_flux(ex4, 1e-10)(xs))
+        assert ex4.exact.derivative is ex4.exact_derivative
+
     @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3"])
     def test_flux_identity_of_exact_solution(self, pid, request):
         # kappa u' must equal -beta + int_x^L f for the attached closed form
@@ -229,6 +247,17 @@ def scipy_flux_integrals(f, weights, length, alpha, beta, points):
     return np.array(rows)
 
 
+def record_fits(monkeypatch, build):
+    """build() and the (breakpoints, coefficients) of every Chebyshev fit it makes."""
+    fits = []
+    fit = problems._chebyshev_coefficients
+    monkeypatch.setattr(problems, "_chebyshev_coefficients",
+                        lambda *args: fits.append(fit(*args)) or fits[-1])
+    field = build()
+    monkeypatch.setattr(problems, "_chebyshev_coefficients", fit)
+    return field, fits
+
+
 def truncated_series(kappa, m):
     """G_M(s) = sum_{j<=m} (-log kappa(s))^j / j!."""
     def weight(s):
@@ -279,6 +308,67 @@ class TestChebyshevOracle:
                       lambda: flux_field(ex1, 0.0)):
             with pytest.raises(ValueError, match="tolerance"):
                 build()
+
+    def test_split_only_above_degree_64(self, monkeypatch):
+        # ex2's truncated integrands split into panels of degree <= 64; every
+        # other built-in field stays one panel, as on a single interval
+        for pid in ALL_IDS:
+            problem = builtin_problem(pid)
+            builds = [lambda: exact_solution_via_flux(problem, 1e-10)]
+            builds += [lambda m=m: semi_analytic_U_M(problem, m, 1e-10)
+                       for m in range(1, MAX_ORDER + 1)]
+            for m, build in enumerate(builds):
+                (load_breaks, _), (breaks, pieces) = record_fits(monkeypatch, build)[1]
+                assert len(load_breaks) == 2
+                assert breaks[0] == 0.0 and breaks[-1] == 1.0
+                assert np.all(np.diff(breaks) > 0.0)
+                assert max(len(c) for c in pieces) - 1 <= 64
+                split = pid == "ex2" and m > 0
+                assert (len(pieces) > 1) == split, (pid, m, len(pieces))
+
+    def test_split_fields_match_single_interval_build(self, ex2, monkeypatch):
+        xs = np.linspace(0.0, 1.0, 4097)
+        split = [semi_analytic_U_M(ex2, m, 1e-10)(xs) for m in (1, 6, 12)]
+        monkeypatch.setattr(problems, "_CHEB_CAP", 8192)
+        for m, values in zip((1, 6, 12), split):
+            whole, fits = record_fits(monkeypatch, lambda: semi_analytic_U_M(ex2, m, 1e-10))
+            assert len(fits[-1][1]) == 1
+            gap = np.abs(values - whole(xs)).max()
+            assert gap <= 1e-15 * np.abs(values).max()
+
+    def test_split_field_any_input_shape(self, ex2, monkeypatch):
+        u, fits = record_fits(monkeypatch, lambda: semi_analytic_U_M(ex2, 3, 1e-10))
+        breaks = fits[-1][0]
+        rng = np.random.default_rng(5)
+        xs = np.sort(np.concatenate([rng.random(300 - len(breaks)), breaks]))
+        flat = u(xs)
+        assert all(u(x) == v for x, v in zip(xs, flat))
+        perm = rng.permutation(len(xs))
+        np.testing.assert_array_equal(u(xs[perm]), flat[perm])
+        np.testing.assert_array_equal(u(xs[perm].reshape(20, 15)), flat[perm].reshape(20, 15))
+        np.testing.assert_array_equal(u(xs[:0]), flat[:0])
+
+    def test_split_field_continuous_at_breakpoints(self, ex2, monkeypatch):
+        for m in range(1, MAX_ORDER + 1):
+            u, fits = record_fits(monkeypatch, lambda: semi_analytic_U_M(ex2, m, 1e-10))
+            inner = fits[-1][0][1:-1]
+            left = u(np.nextafter(inner, -np.inf))
+            scale = np.abs(u(np.linspace(0.0, 1.0, 101))).max()
+            assert np.abs(u(inner) - left).max() <= 8 * np.finfo(float).eps * scale
+
+    def test_split_field_rejects_points_outside_domain(self, ex2):
+        u = semi_analytic_U_M(ex2, 4, 1e-10)
+        for outside in (np.nextafter(1.0, 2.0), -1e-300, np.array([[0.5, 0.2], [0.3, 1.5]])):
+            with pytest.raises(ValueError, match="outside"):
+                u(outside)
+
+    def test_noise_exhausts_panel_budget_quickly(self):
+        noise = unit_problem(f=field(lambda x: np.modf(1e5 * np.sin(1e4 * x))[0]), name="noise")
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="load of noise.*128 Chebyshev panels") as info:
+            exact_solution_via_flux(noise, tol=1e-9)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.error_estimate > 1e-3
 
     def test_field_survives_dataclass_replace(self, ex1):
         # a wrapper may swap .fn with dataclasses.replace and keep the rest

@@ -2,9 +2,10 @@
 
 perfbench/run.py --trace 1 exits 0 even when a traced function no longer
 exists: it drops the metrics built from it. This runs the cheapest workload
-for one second under the tracer, as a separate process from a scratch
-checkout that links the package sources (so its spans file lands there),
-and checks its result line against BENCHMARK.json.
+and the oracle workload for one second each under the tracer, as separate
+processes from a scratch checkout that links the package sources (so the
+spans files land there), and checks each result line against
+BENCHMARK.json.
 """
 
 import json
@@ -21,12 +22,20 @@ def _reject_constant(name):
 
 
 def test_traced_table_sweep_reports_every_layer_metric(tmp_path):
+    check_traced_run("table-sweep", tmp_path)
+
+
+def test_traced_oracle_score_reports_every_layer_metric(tmp_path):
+    check_traced_run("oracle-score", tmp_path)
+
+
+def check_traced_run(workload, tmp_path):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("out", "__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "table-sweep",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
