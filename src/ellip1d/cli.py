@@ -374,8 +374,13 @@ def _validate_values(args, parser) -> None:
                 raise ValueError(f"--reps must be >= 3, got {args.reps}")
         elif args.command == "table":
             method = Method(args.method)
+            for n in args.n_list:
+                for m in args.m_list:
+                    MethodConfig(method, n, m, args.quad)
+        elif args.command == "verify":
+            # the suites choose their own meshes; only M comes from the flags
             for m in args.m_list:
-                MethodConfig(method, args.n_list[0], m, args.quad)
+                MethodConfig(Method.ORIGINAL, 1, m, args.quad)
     except ValueError as exc:
         parser.error(str(exc))
 

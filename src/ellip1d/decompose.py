@@ -77,6 +77,13 @@ class Method(enum.Enum):
     DIRECT = "direct"
 
 
+# upper limits of a run, at least 4x above every documented or benchmarked
+# size, so that a mistyped N or M is a usage error rather than an
+# out-of-memory failure
+MAX_ELEMS = 2**20
+MAX_TRUNCATION = 64
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     """A fully specified run: method, truncation order, mesh and quadrature."""
@@ -89,8 +96,14 @@ class MethodConfig:
     def __post_init__(self):
         if self.n_elems < 1:
             raise ValueError(f"need at least one element, got {self.n_elems}")
+        if self.n_elems > MAX_ELEMS:
+            raise ValueError(f"at most {MAX_ELEMS} elements, got {self.n_elems}")
         if self.truncation < 0:
             raise ValueError(f"truncation order must be >= 0, got {self.truncation}")
+        if self.truncation > MAX_TRUNCATION:
+            raise ValueError(
+                f"truncation order must be <= {MAX_TRUNCATION}, got {self.truncation}"
+            )
         if self.method in (Method.ORIGINAL, Method.IMPROVED) and self.truncation < 1:
             raise ValueError(f"{self.method.value} method requires truncation >= 1")
 

@@ -18,6 +18,13 @@ identity kappa u' = -beta + int_x^L f:
 with k_e the element conductances. flux_sweep solves it with two cumulative
 sums. The Thomas-algorithm solver (factorize, solve_tridiagonal) stays as a
 generic reference for tests; no solve path uses it.
+
+Arrays over element quadrature points (Mesh.element_points,
+NodalFunction.at_quadrature, and every coefficient evaluated on them) have
+shape (n_elems, n_points) but are stored point-major: one contiguous run of
+N values per Gauss point. Elementwise passes and the reductions against the
+rule's weights then stream over N values instead of broadcasting over rows of
+3 or 5. Indexing and row-major flattening are unaffected by the layout.
 """
 
 from __future__ import annotations
@@ -71,9 +78,12 @@ class Mesh:
     def element_points(self, rule: "QuadratureRule") -> np.ndarray:
         """Quadrature points of every element, shape (n_elems, rule.n_points).
 
-        Row-major flattening of the result is ascending in x.
+        The array is stored point-major (its transpose is C-contiguous), so
+        every elementwise pass over it runs along N contiguous values rather
+        than along rows of n_points. Row-major flattening (ravel) is still
+        ascending in x.
         """
-        return self.nodes[:-1, None] + self.h * rule.points[None, :]
+        return (self.nodes[:-1] + self.h * rule.points[:, None]).T
 
     def same_as(self, other: "Mesh") -> bool:
         return self.n_elems == other.n_elems and self.length == other.length
@@ -132,9 +142,12 @@ class NodalFunction:
         return self.derivative_values()[idx]
 
     def at_quadrature(self, rule: QuadratureRule) -> np.ndarray:
-        """Values at every element quadrature point, shape (n_elems, n_points)."""
-        t = rule.points[None, :]
-        return self.values[:-1, None] * (1.0 - t) + self.values[1:, None] * t
+        """Values at every element quadrature point, shape (n_elems, n_points).
+
+        Stored point-major, like Mesh.element_points.
+        """
+        t = rule.points[:, None]
+        return (self.values[:-1] * (1.0 - t) + self.values[1:] * t).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,6 @@
 import pytest
 
-from ellip1d import QuadratureRule, builtin_problem, fem_solve
+from ellip1d import QuadratureRule, builtin_problem, cli, fem_solve
 from ellip1d.cli import (
     FINE_GRID_ELEMS,
     REPORT_CSV_HEADER,
@@ -261,6 +261,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["solve", "--problem", "ex1", "--N", "0", "--M", "1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--N", "1048577"], "at most 1048576 elements"),
+            (["solve", "--M", "65"], "must be <= 64"),
+            (["table", "--N-list", "8,1048577"], "at most 1048576 elements"),
+            (["table", "--M-list", "2,65"], "must be <= 64"),
+            (["bench", "--N", "1048577"], "at most 1048576 elements"),
+            (["verify", "--M-list", "1,65"], "must be <= 64"),
+        ],
+    )
+    def test_sizes_above_limits_exit_two_before_any_work(self, argv, message, capsys,
+                                                         monkeypatch):
+        def refuse(args):
+            raise AssertionError("a run started past the size limits")
+
+        for name in ("cmd_solve", "cmd_table", "cmd_bench", "cmd_verify"):
+            monkeypatch.setattr(cli, name, refuse)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_parser_help_lists_defaults(self):
         parser = build_parser()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ellip1d import QuadratureRule, constant_field, exact_solution_via_flux, g_m, psi_of
 from ellip1d.decompose import (
+    MAX_ELEMS,
+    MAX_TRUNCATION,
     Method,
     MethodConfig,
     semi_analytic_U_M,
@@ -36,6 +38,7 @@ class TestMethodConfig:
     def test_valid(self):
         MethodConfig(Method.IMPROVED, n_elems=16, truncation=3)
         MethodConfig(Method.DIRECT, n_elems=16)
+        MethodConfig(Method.ORIGINAL, n_elems=MAX_ELEMS, truncation=MAX_TRUNCATION)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -44,6 +47,8 @@ class TestMethodConfig:
             dict(method=Method.IMPROVED, n_elems=8, truncation=0),
             dict(method=Method.DIRECT, n_elems=0),
             dict(method=Method.DIRECT, n_elems=8, truncation=-1),
+            dict(method=Method.DIRECT, n_elems=MAX_ELEMS + 1),
+            dict(method=Method.IMPROVED, n_elems=8, truncation=MAX_TRUNCATION + 1),
         ],
     )
     def test_invalid(self, kwargs):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ellip1d import (
 )
 from ellip1d.decompose import solve_u0
 from ellip1d.fem import Mesh, NodalFunction, TridiagonalSystem, tridiagonal_matvec
-from ellip1d.problems import Problem
+from ellip1d.problems import Problem, psi_of
 from conftest import field, positive_problems, unit_problem
 
 
@@ -424,6 +425,54 @@ class TestNodalFunction:
         assert nf.derivative_at(0.0) == 2.0
         assert nf.derivative_at(0.5) == 4.0  # node: right-hand element
         assert nf.derivative_at(1.0) == 4.0  # endpoint: last element
+
+
+class TestPointMajorLayout:
+    """Element-point arrays keep their shape and values, stored point-major."""
+
+    @staticmethod
+    def assert_bits_equal(a, b):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 7, 300, 2**10])
+    def test_element_points(self, n, q):
+        mesh = build_mesh(1.0, n)
+        rule = QuadratureRule.gauss(q)
+        pts = mesh.element_points(rule)
+        assert pts.shape == (n, q)
+        assert pts.T.flags.c_contiguous
+        self.assert_bits_equal(pts, mesh.nodes[:-1, None] + mesh.h * rule.points[None, :])
+        assert np.all(np.diff(pts.ravel()) > 0.0)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 7, 300, 2**10])
+    def test_at_quadrature(self, n, q):
+        mesh = build_mesh(1.0, n)
+        rule = QuadratureRule.gauss(q)
+        nf = NodalFunction(mesh, np.random.default_rng(n).normal(size=n + 1))
+        vals = nf.at_quadrature(rule)
+        assert vals.shape == (n, q)
+        assert vals.T.flags.c_contiguous
+        t = rule.points[None, :]
+        self.assert_bits_equal(vals, nf.values[:-1, None] * (1.0 - t) + nf.values[1:, None] * t)
+
+    @pytest.mark.parametrize("assemble", [assemble_stiffness, assemble_load])
+    def test_nan_names_its_element(self, rule3, assemble):
+        mesh = build_mesh(1.0, 8)
+        bad_x = mesh.element_points(rule3)[5, -1]
+        with pytest.raises(AssemblyError, match=r"on element 5$"):
+            assemble(mesh, field(lambda x: np.where(x == bad_x, np.nan, 1.0)), rule3)
+
+    def test_nonpositive_coefficient_names_its_point(self, rule3):
+        pts = build_mesh(1.0, 8).element_points(rule3)
+        bad_x = pts[5, -1]
+        psi = psi_of(field(lambda x: np.where(x == bad_x, -1.0, 1.0)))
+        with pytest.raises(ValueError, match=re.escape(f"at x = {bad_x}") + "$"):
+            psi(pts)
 
 
 class TestConcurrentUse:

@@ -12,7 +12,8 @@ from ellip1d import (
     tail_bound,
     theorem_bound_check,
 )
-from ellip1d.fem import NodalFunction, build_mesh
+from ellip1d.decompose import solve_improved
+from ellip1d.fem import NodalFunction, build_mesh, fem_solve
 from ellip1d.norms import (
     BoundViolationError,
     ErrorReport,
@@ -194,6 +195,25 @@ class TestFineGridErrors:
     def test_requires_nested_meshes(self):
         with pytest.raises(ValueError, match="nest"):
             fine_grid_l2_error(interpolant(lambda x: x, 3), interpolant(lambda x: x, 8))
+        with pytest.raises(ValueError, match="nest"):
+            fine_grid_h1_error(interpolant(lambda x: x, 3), interpolant(lambda x: x, 8))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("n", [8, 512, 2048, 4096])
+    def test_h1_matches_long_double_reference(self, ex4, rule3, n):
+        # the coarse solution interpolated onto the fine nodes and differenced
+        # there, all in long double
+        fine = fem_solve(ex4, 2**15, rule3)
+        coarse = solve_improved(ex4, n, 4, rule3).U_M
+        r = fine.mesh.n_elems // n
+        c = coarse.values.astype(np.longdouble)
+        t = np.arange(r, dtype=np.longdouble) / r
+        interp = np.append((c[:-1, None] + (c[1:] - c[:-1])[:, None] * t).ravel(), c[-1])
+        d = np.diff(interp - fine.values.astype(np.longdouble))
+        reference = np.sqrt(np.sum(d * d) / np.longdouble(fine.mesh.h))
+        value = fine_grid_h1_error(coarse, fine)
+        assert abs(value - reference) <= 1e-15 * reference
 
 
 class TestObservedOrder:

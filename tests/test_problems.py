@@ -9,9 +9,9 @@ from scipy.integrate import quad, quad_vec
 
 from ellip1d import builtin_problem, problems, constant_field, exact_solution_via_flux, g_m, psi_of
 from ellip1d.decompose import semi_analytic_U_M, solve_improved, solve_original
-from ellip1d.fem import QuadratureRule
+from ellip1d.fem import QuadratureRule, build_mesh
 from ellip1d.integrate import AccuracyError
-from ellip1d.norms import tail_bound
+from ellip1d.norms import ERROR_RULE, tail_bound
 from ellip1d.problems import BUILTIN_IDS, Problem, ScalarField, flux_field
 
 from conftest import field, positive_problems, unit_problem
@@ -376,3 +376,32 @@ class TestChebyshevOracle:
         rewrapped = dataclasses.replace(u, fn=lambda x: 2.0 * u.fn(x))
         assert rewrapped.derivative is u.derivative
         assert rewrapped(0.5) == pytest.approx(2.0 * ex1.exact(0.5), abs=1e-15)
+
+
+class TestOracleLayout:
+    """Oracle fields give the same bits on point-major and row-major element points."""
+
+    @staticmethod
+    def assert_layout_free(fld, n):
+        for rule in (QuadratureRule.gauss(3), ERROR_RULE):
+            pts = build_mesh(1.0, n).element_points(rule)
+            copy = np.ascontiguousarray(pts)
+            assert not pts.flags.c_contiguous
+            values, copy_values = fld(pts), fld(copy)
+            assert values.shape == pts.shape
+            np.testing.assert_array_equal(np.ascontiguousarray(values).view(np.uint64),
+                                          np.ascontiguousarray(copy_values).view(np.uint64))
+
+    @pytest.mark.parametrize("pid", ALL_IDS)
+    def test_exact_fields(self, pid, request):
+        problem = request.getfixturevalue(pid)
+        for fld in (problem.exact, problem.exact_derivative):
+            self.assert_layout_free(fld, 300)
+
+    @pytest.mark.parametrize("m", [1, 6, 12])
+    def test_multi_panel_truncated_field(self, ex2, m, monkeypatch):
+        u, fits = record_fits(monkeypatch, lambda: semi_analytic_U_M(ex2, m, 1e-10))
+        assert len(fits[-1][1]) > 1
+        for n in (7, 2**10):
+            self.assert_layout_free(u, n)
+            self.assert_layout_free(u.derivative, n)

@@ -1,8 +1,9 @@
 """A short traced benchmark run must still report every per-layer metric.
 
 perfbench/run.py --trace 1 exits 0 even when a traced function no longer
-exists: it drops the metrics built from it. This runs the cheapest workload
-and the oracle workload for one second each under the tracer, as separate
+exists: it drops the metrics built from it. This runs the cheapest workload,
+the oracle workload and the large-solve workload for one second each under
+the tracer, as separate
 processes from a scratch checkout that links the package sources (so the
 spans files land there), and checks each result line against
 BENCHMARK.json.
@@ -27,6 +28,10 @@ def test_traced_table_sweep_reports_every_layer_metric(tmp_path):
 
 def test_traced_oracle_score_reports_every_layer_metric(tmp_path):
     check_traced_run("oracle-score", tmp_path)
+
+
+def test_traced_solve_large_reports_every_layer_metric(tmp_path):
+    check_traced_run("solve-large", tmp_path)
 
 
 def check_traced_run(workload, tmp_path):
