@@ -18,7 +18,6 @@ from .decompose import (
     solve_improved,
     solve_original,
     solve_u0,
-    term_gradient,
 )
 from .fem import (
     AssemblyError,
@@ -34,6 +33,7 @@ from .fem import (
     build_mesh,
     fem_solve,
     flux_sweep,
+    load_flux,
     solve_tridiagonal,
 )
 from .integrate import AccuracyError

@@ -154,12 +154,6 @@ def _run_method(problem, method: Method, n_elems: int, truncation: int, rule):
     return solver(problem, n_elems, truncation, rule).U_M
 
 
-def _reference_fields(problem):
-    if problem.name in _CLOSED_FORM:
-        return problem.exact, problem.exact_derivative, Reference.CLOSED_FORM
-    return problem.exact, problem.exact_derivative, Reference.FLUX_ORACLE
-
-
 def _report_row(report: ErrorReport, fmt: str) -> str:
     if fmt == "csv":
         return (
@@ -178,15 +172,15 @@ def cmd_solve(args) -> list[str]:
     rule = QuadratureRule.gauss(args.quad)
     approx = _run_method(problem, Method(args.method), args.n_elems,
                          args.truncation, rule)
-    exact, exact_d, ref = _reference_fields(problem)
     report = ErrorReport(
         problem=problem.name,
         method=args.method,
         n_elems=args.n_elems,
         truncation=args.truncation,
-        l2_error=l2_error(approx, exact, ERROR_RULE),
-        h1_error=h1_seminorm_error(approx, exact_d, ERROR_RULE),
-        reference=ref,
+        l2_error=l2_error(approx, problem.exact, ERROR_RULE),
+        h1_error=h1_seminorm_error(approx, problem.exact_derivative, ERROR_RULE),
+        reference=(Reference.CLOSED_FORM if problem.name in _CLOSED_FORM
+                   else Reference.FLUX_ORACLE),
     )
     lines = [REPORT_CSV_HEADER] if args.format == "csv" else []
     lines.append(_report_row(report, args.format))

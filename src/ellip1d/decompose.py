@@ -14,19 +14,22 @@ G_M = sum_{j<=M} (-psi)^j/j!:
 
     (U_M', v') = (G_M u_0', v'),   U_M(0) = alpha.
 
-Both paths share one unit-coefficient operator, whose element conductances
-are set up once; each solve is one flux sweep (fem.flux_sweep), the discrete
-flux identity. In P1 every u_m' is constant per element, so Gauss assembly
-of the chain sees psi only through the element moments mu_{j,e}, the Gauss
-mean over element e of psi^j / j!: the load of term m is the element flux
+Each method turns the assembled load of the data into element fluxes F once
+(fem.load_flux, one reverse cumsum), and every solve is one flux sweep
+(fem.flux_sweep, one forward cumsum from the boundary value): slope w_e F_e
+on element e for a per-element weight w_e. u_0 is the sweep of F with
+weight 1, and U_M = sum_{j<=M} u_j is the sweep of the same F with weight
+Q_e(G_M), the element's Gauss mean of the series. In P1 every u_m' is
+constant per element, so Gauss assembly of the chain sees psi only through
+the element moments mu_{j,e}, the Gauss mean over element e of psi^j / j!:
+term m is the sweep with weight 1 of its recursion flux
 
     c_{m,e} = - sum_{j=1}^{m} mu_{j,e} u_{m-j,e}',
 
-and likewise U_M' = Q_e(G_M) u_0' with Q_e the element's Gauss mean. The
-recursion computes each mu_j once, assembles each term's load once from its
-summed fluxes and sweeps it, so it remains a chain of M + 1 solves. The
-cost model is unchanged: M + 1 versus 2 solves and M versus 1 load
-assemblies.
+with each slope read back from the nodal values of the term before. The
+recursion computes each mu_j once and builds each term's flux once, so it
+remains a chain of M + 1 solves. The cost model is unchanged: M + 1 versus
+2 solves and M versus 1 right-hand-side assemblies.
 """
 
 from __future__ import annotations
@@ -37,20 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (
-    Mesh,
     NodalFunction,
     QuadratureRule,
     assemble_load,
-    assemble_stiffness,
     build_mesh,
-    flux_load,
     flux_sweep,
-    gradient_load_from_values,
+    load_flux,
 )
 from .problems import (
     Problem,
     ScalarField,
-    constant_field,
     flux_weighted_antiderivative,
     g_m,
     psi_of,
@@ -66,7 +65,6 @@ __all__ = [
     "solve_improved",
     "solve_improved_orders",
     "truncated_sum",
-    "term_gradient",
     "semi_analytic_U_M",
 ]
 
@@ -112,12 +110,12 @@ class MethodConfig:
 class DecompositionResult:
     """Output of one decomposition run, with honest cost counters.
 
-    solve_count counts flux sweeps against the shared unit-coefficient
-    operator (each is one back-substitution in the cost model);
-    assembly_count counts weighted-gradient right-hand-side assemblies (the
-    recursive method builds one per correction term, the two-solve method
-    exactly one); factorization_count counts the one conductance setup that
-    all sweeps share.
+    solve_count counts fem.flux_sweep calls (each is one back-substitution
+    in the cost model); assembly_count counts the right-hand sides built
+    from psi (the recursive method builds one flux per correction term, the
+    two-solve method exactly one series weight); factorization_count counts
+    the one fem.load_flux pass that turns the load into the element fluxes
+    all sweeps start from.
     """
 
     u0: NodalFunction
@@ -128,27 +126,18 @@ class DecompositionResult:
     factorization_count: int
 
 
-class _UnitOperator:
-    """Unit-coefficient stiffness operator, kept as its element conductances.
-
-    Built once per mesh and shared by every solve; solve() is one flux sweep
-    from u(0) = alpha, so any boundary value reuses the same conductances.
-    """
-
-    def __init__(self, mesh: Mesh, rule: QuadratureRule):
-        self.mesh = mesh
-        self.k = -assemble_stiffness(mesh, constant_field(1.0), rule).sub
-
-    def solve(self, rhs: np.ndarray, alpha: float) -> NodalFunction:
-        return flux_sweep(self.mesh, self.k, rhs, alpha)
+def _u0_and_flux(
+    problem: Problem, n_elems: int, rule: QuadratureRule
+) -> tuple[NodalFunction, np.ndarray]:
+    """u_0 and the element fluxes F of the data it is swept from."""
+    mesh = build_mesh(problem.length, n_elems)
+    flux = load_flux(assemble_load(mesh, problem.f, rule, beta=problem.beta))
+    return flux_sweep(mesh, flux, 1.0, problem.alpha), flux
 
 
 def solve_u0(problem: Problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:
     """Galerkin solution of the unit-coefficient problem with the same data."""
-    mesh = build_mesh(problem.length, n_elems)
-    op = _UnitOperator(mesh, rule)
-    load = assemble_load(mesh, problem.f, rule, beta=problem.beta)
-    return op.solve(load, problem.alpha)
+    return _u0_and_flux(problem, n_elems, rule)[0]
 
 
 def solve_original(
@@ -156,22 +145,17 @@ def solve_original(
 ) -> DecompositionResult:
     """Recursive decomposition: one solve per term u_1 ... u_M.
 
-    All subproblems share the unit-coefficient operator, set up once. With
-    mu_j the per-element Gauss mean of psi^j / j!, the load of term m is the
-    element flux c_m = -sum_{j=1}^{m} mu_j u_{m-j}', assembled once from the
-    slopes of the terms before it. The flux terms of the corrections are
-    natural in the weak form and cancel, so no boundary assembly happens
-    beyond the -beta term in the u_0 load. truncation = 0 degenerates to the
-    plain u_0 solve.
+    With mu_j the per-element Gauss mean of psi^j / j!, term m is the sweep
+    with weight 1 of the element flux c_m = -sum_{j=1}^{m} mu_j u_{m-j}',
+    built once from the slopes of the terms before it. The flux terms of the
+    corrections are natural in the weak form and cancel, so no boundary
+    assembly happens beyond the -beta term in the u_0 load. truncation = 0
+    degenerates to the plain u_0 solve.
     """
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
-    mesh = build_mesh(problem.length, n_elems)
-    op = _UnitOperator(mesh, rule)
-    load = assemble_load(mesh, problem.f, rule, beta=problem.beta)
-    u0 = op.solve(load, problem.alpha)
-
-    psi_vals = psi_of(problem.kappa)(mesh.element_points(rule))
+    u0, _ = _u0_and_flux(problem, n_elems, rule)
+    psi_vals = psi_of(problem.kappa)(u0.mesh.element_points(rule))
     power = np.ones_like(psi_vals)  # psi^j / j! at the quadrature points
     moments: list[np.ndarray] = []  # mu_1 ... mu_m
     slopes = [u0.derivative_values()]  # u_0' ... u_{m-1}'
@@ -182,7 +166,7 @@ def solve_original(
         flux = np.zeros(n_elems)
         for mu, slope in zip(moments, reversed(slopes)):  # mu_j u_{m-j}', j = 1..m
             flux -= mu * slope
-        terms.append(op.solve(flux_load(flux), 0.0))
+        terms.append(flux_sweep(u0.mesh, flux, 1.0, 0.0))
         slopes.append(terms[-1].derivative_values())
 
     return DecompositionResult(
@@ -210,21 +194,17 @@ def solve_improved_orders(
     """u_0 and the two-solve U_M for every M in truncations, in that order.
 
     psi is evaluated at the quadrature points once and G_M is read off one
-    pass of the series recurrence; each distinct M then costs one load
-    assembly and one sweep. Every U_M is bit-identical to a run of its
-    order alone.
+    pass of the series recurrence; each distinct M then costs one series
+    weight Q_e(G_M) and one sweep of u_0's fluxes. Every U_M is
+    bit-identical to a run of its order alone.
     """
     if min(truncations) < 1:
         raise ValueError(f"truncation order must be >= 1, got {min(truncations)}")
-    mesh = build_mesh(problem.length, n_elems)
-    op = _UnitOperator(mesh, rule)
-    load = assemble_load(mesh, problem.f, rule, beta=problem.beta)
-    u0 = op.solve(load, problem.alpha)
-
-    psi_vals = psi_of(problem.kappa)(mesh.element_points(rule))
+    u0, flux = _u0_and_flux(problem, n_elems, rule)
+    psi_vals = psi_of(problem.kappa)(u0.mesh.element_points(rule))
     series = series_partial_sums(psi_vals, truncations)
     totals = {
-        m: op.solve(gradient_load_from_values(mesh, g, u0, rule), problem.alpha)
+        m: flux_sweep(u0.mesh, flux, g @ rule.weights, problem.alpha)
         for m, g in series.items()
     }
     return u0, [totals[m] for m in truncations]
@@ -243,23 +223,6 @@ def solve_improved(
         assembly_count=1,
         factorization_count=1,
     )
-
-
-def term_gradient(j: int, psi: ScalarField, u0_prime: ScalarField) -> ScalarField:
-    """Derivative of the j-th expansion term: (-psi)^j / j! times u_0'."""
-    if j < 0:
-        raise ValueError(f"term index must be nonnegative, got {j}")
-    if j == 0:
-        return u0_prime
-
-    def fn(x):
-        p = np.broadcast_to(np.asarray(psi(x), dtype=float), x.shape)
-        coeff = np.ones_like(p)
-        for k in range(1, j + 1):
-            coeff = coeff * (-p) / k
-        return coeff * u0_prime(x)
-
-    return ScalarField(fn, f"term-{j} gradient")
 
 
 def semi_analytic_U_M(problem: Problem, truncation: int, tol: float) -> ScalarField:

@@ -13,11 +13,18 @@ Every assembled system therefore has a Dirichlet row at node 0 and a natural
 row at node N, so its element fluxes obey the discrete form of the flux
 identity kappa u' = -beta + int_x^L f:
 
-    k_e (u_{e+1} - u_e) = sum_{i > e} rhs_i,
+    Q_e(kappa) (u_{e+1} - u_e) / h = sum_{i > e} rhs_i = F_e,
 
-with k_e the element conductances. flux_sweep solves it with two cumulative
-sums. The Thomas-algorithm solver (factorize, solve_tridiagonal) stays as a
-generic reference for tests; no solve path uses it.
+with Q_e the Gauss mean over element e. load_flux turns a load vector into
+the element fluxes F with one reverse cumsum, and flux_sweep solves
+u_{e+1} - u_e = h w_e F_e from u(0) = alpha with one forward cumsum: the
+direct method sweeps with weight w_e = 1 / Q_e(kappa), every
+unit-coefficient problem with weight 1. With exact element integrals, 1D P1
+Galerkin solutions are nodally exact (Tong, AIAA J. 7, 1969); the two sums
+add only their own rounding, not the N^2 eps growth of elimination. The
+stiffness matrix, the node-vector gradient loads and the Thomas-algorithm
+solver (factorize, solve_tridiagonal) stay as references for tests; no solve
+path uses them.
 
 Arrays over element quadrature points (Mesh.element_points,
 NodalFunction.at_quadrature, and every coefficient evaluated on them) have
@@ -45,7 +52,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "assemble_gradient_load",
-    "flux_load",
+    "load_flux",
     "apply_dirichlet",
     "factorize",
     "solve_tridiagonal",
@@ -227,19 +234,15 @@ def assemble_gradient_load(
 def gradient_load_from_values(
     mesh: Mesh, weight_values: np.ndarray, w: NodalFunction, rule: QuadratureRule
 ) -> np.ndarray:
-    """assemble_gradient_load with the weight already evaluated at element points."""
+    """assemble_gradient_load with the weight already evaluated at element points.
+
+    Element e contributes -c_e at node e and +c_e at node e + 1, with c_e its
+    weighted flux, so the entries right of element e sum to c_e.
+    """
     # h * sum_q w_q weight_q gives int_e weight; multiplying by w'_e and the
     # hat slope -+1/h cancels both h factors
-    return flux_load((weight_values @ rule.weights) * np.diff(w.values) / mesh.h)
-
-
-def flux_load(c: np.ndarray) -> np.ndarray:
-    """Load vector of the element fluxes c: -c_e at node e, +c_e at node e + 1.
-
-    Its entries right of element e sum to c_e, so flux_sweep hands c_e back
-    as that element's flux.
-    """
-    out = np.zeros(len(c) + 1)
+    c = (weight_values @ rule.weights) * np.diff(w.values) / mesh.h
+    out = np.zeros(mesh.n_elems + 1)
     out[:-1] -= c
     out[1:] += c
     return out
@@ -323,33 +326,41 @@ def tridiagonal_matvec(system: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def flux_sweep(mesh: Mesh, k: np.ndarray, rhs: np.ndarray, alpha: float) -> NodalFunction:
-    """Solve the stiffness system with conductances k for u(0) = alpha.
+def load_flux(rhs: np.ndarray) -> np.ndarray:
+    """Element fluxes F_e = sum_{i > e} rhs_i of a load vector (one reverse cumsum).
 
-    Rows 1..N of the system say that the flux k_e (u_{e+1} - u_e) of element
-    e equals the sum of rhs over the nodes right of it, so a reverse cumsum
-    gives every flux and a forward cumsum from alpha gives u. rhs[0] is
-    ignored, as the Dirichlet row replaces it. The result carries only the
-    rounding of the two sums, not the N^2 eps growth of elimination.
+    Rows 1..N of the system say that element e carries this flux; rhs[0] is
+    ignored, as the Dirichlet row replaces it.
     """
-    bad = ~(np.isfinite(k) & (k > 0.0))
-    if bad.any():
-        e = int(np.argmax(bad))
-        raise ValueError(
-            f"element {e} has conductance {k[e]!r}; "
-            "the flux sweep needs every conductance finite and positive"
-        )
-    flux = np.cumsum(rhs[:0:-1])[::-1]
-    return NodalFunction(mesh, np.cumsum(np.concatenate(([alpha], flux / k))))
+    return np.cumsum(rhs[:0:-1])[::-1]
+
+
+def flux_sweep(mesh: Mesh, flux: np.ndarray, weight, alpha: float) -> NodalFunction:
+    """u(0) = alpha and slope weight_e * flux_e on element e (one forward cumsum).
+
+    weight is a scalar or one value per element, of any sign: a truncated
+    series weight Q_e(G_M) can be zero or negative. The result carries only
+    the rounding of the sum, not the N^2 eps growth of elimination.
+    """
+    return NodalFunction(mesh, np.cumsum(np.concatenate(([alpha], mesh.h * weight * flux))))
 
 
 def fem_solve(problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:
     """Galerkin solution of the full variable-coefficient problem.
 
-    This is the direct (non-decomposed) reference method: assemble with the
-    true coefficient, then one flux sweep from u(0) = alpha.
+    This is the direct (non-decomposed) reference method: one flux sweep of
+    the load's fluxes with weight 1 / Q_e(kappa), the reciprocal of each
+    element's Gauss mean of the true coefficient.
     """
     mesh = build_mesh(problem.length, n_elems)
-    system = assemble_stiffness(mesh, problem.kappa, rule)
+    pts = mesh.element_points(rule)
+    mean = _coeff_at_points(problem.kappa, pts, "stiffness coefficient") @ rule.weights
+    bad = ~(np.isfinite(mean) & (mean > 0.0))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(
+            f"element {e} has mean conductance {mean[e]!r}; "
+            "the direct solve needs every element mean of kappa finite and positive"
+        )
     rhs = assemble_load(mesh, problem.f, rule, beta=problem.beta)
-    return flux_sweep(mesh, -system.sub, rhs, problem.alpha)
+    return flux_sweep(mesh, load_flux(rhs), 1.0 / mean, problem.alpha)

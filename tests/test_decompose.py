@@ -16,7 +16,6 @@ from ellip1d.decompose import (
     solve_improved_orders,
     solve_original,
     solve_u0,
-    term_gradient,
     truncated_sum,
 )
 from ellip1d.fem import (
@@ -201,24 +200,6 @@ class TestFactorialDecay:
         for j, term in enumerate(result.terms, start=1):
             factor *= psi_sup / j
             assert h1_seminorm(term) <= 1.05 * factor * u0_h1
-
-
-class TestTermGradient:
-    def test_zeroth_term_is_u0_prime(self):
-        u0p = constant_field(2.0)
-        assert term_gradient(0, constant_field(1.0), u0p) is u0p
-
-    def test_first_term(self):
-        grad = term_gradient(1, constant_field(math.log(2.0)), constant_field(1.0))
-        assert grad(0.4) == pytest.approx(-math.log(2.0), abs=1e-15)
-
-    def test_third_term(self):
-        grad = term_gradient(3, constant_field(1.0), constant_field(6.0))
-        assert grad(0.1) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            term_gradient(-1, constant_field(1.0), constant_field(1.0))
 
 
 class TestSemiAnalytic:

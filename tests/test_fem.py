@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ from ellip1d import (
     build_mesh,
     constant_field,
     fem_solve,
-    flux_sweep,
     l2_error,
     observed_order,
     solve_tridiagonal,
 )
-from ellip1d.decompose import solve_u0
+from ellip1d.decompose import solve_improved, solve_original, solve_u0
 from ellip1d.fem import Mesh, NodalFunction, TridiagonalSystem, tridiagonal_matvec
 from ellip1d.problems import Problem, psi_of
 from conftest import field, positive_problems, unit_problem
@@ -283,6 +283,14 @@ class TestDirichletAndSolve:
         assert np.all(factorize(system).pivot > 0.0)
 
 
+def improved_U_M(problem, n, rule):
+    return solve_improved(problem, n, 3, rule).U_M
+
+
+def original_U_M(problem, n, rule):
+    return solve_original(problem, n, 3, rule).U_M
+
+
 def _assembled(problem, n, rule):
     mesh = build_mesh(problem.length, n)
     system = assemble_stiffness(mesh, problem.kappa, rule)
@@ -293,14 +301,20 @@ def _assembled(problem, n, rule):
 class TestFluxSweep:
     RULE = QuadratureRule.gauss(3)
 
+    # the direct solve checks each element's Gauss mean of kappa; a
+    # non-finite value is already named where kappa is evaluated
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_conductance_not_finite_positive(self, bad):
-        k = np.full(4, 4.0)
-        k[2] = bad
-        with pytest.raises(ValueError, match="element 2"):
-            flux_sweep(build_mesh(1.0, 4), k, np.ones(5), 0.0)
+        def kappa(x):
+            return np.where((x > 0.5) & (x < 0.75), bad, 4.0)
 
-    @pytest.mark.parametrize("solve", [fem_solve, solve_u0])
+        # a Problem would reject this kappa on construction
+        problem = SimpleNamespace(length=1.0, kappa=field(kappa), f=constant_field(1.0),
+                                  alpha=0.0, beta=0.0)
+        with pytest.raises(ValueError, match="element 2"):
+            fem_solve(problem, 4, self.RULE)
+
+    @pytest.mark.parametrize("solve", [fem_solve, solve_u0, improved_U_M, original_U_M])
     @pytest.mark.parametrize("log2_n", [11, 15, 18])
     def test_nodal_exactness_unit_problem(self, solve, log2_n):
         # kappa = 1, f = 1: P1 is nodally exact, so only rounding remains;
