@@ -13,7 +13,6 @@ from .bench import BenchReport, MethodStats, run_benchmark
 from .decompose import (
     DecompositionResult,
     Method,
-    MethodConfig,
     semi_analytic_U_M,
     solve_improved,
     solve_original,

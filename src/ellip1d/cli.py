@@ -21,7 +21,6 @@ import sys
 from .bench import BENCH_CSV_HEADER, run_benchmark
 from .decompose import (
     Method,
-    MethodConfig,
     solve_improved,
     solve_improved_orders,
     solve_original,
@@ -31,6 +30,7 @@ from .fem import QuadratureRule, fem_solve
 from .integrate import AccuracyError
 from .norms import (
     ERROR_RULE,
+    PSI_SUP_SAMPLES,
     BoundViolationError,
     ErrorReport,
     Reference,
@@ -53,17 +53,14 @@ REPORT_CSV_HEADER = "problem,N,M,method,l2_error,h1_error,reference"
 DEFAULT_N_LIST = (8, 32, 128, 512, 2048)
 DEFAULT_M_LIST = (2, 4, 6, 8, 10)
 FINE_GRID_ELEMS = 2**15
-VERIFY_SUITES = (
-    "tail-bound",
-    "theorem-bound",
-    "equivalence",
-    "factorial-decay",
-    "convergence-order",
-)
 
-# problems with a closed-form solution; ex4 only has the flux-integral
-# reference, and its table additionally uses a fine-grid discrete reference
-_CLOSED_FORM = {"ex1", "ex2", "ex3"}
+# upper limits of a run, at least 4x above every documented or benchmarked
+# size, so that a mistyped N or M is a usage error rather than an
+# out-of-memory failure
+MAX_ELEMS = 2**20
+MAX_TRUNCATION = 64
+_TOO_MANY_ELEMS = f"at most {MAX_ELEMS} elements, got {{}}"
+_ORDER_TOO_HIGH = f"truncation order must be <= {MAX_TRUNCATION}, got {{}}"
 
 
 def table_sci(x: float) -> str:
@@ -78,14 +75,50 @@ def table_sci(x: float) -> str:
     return f"{mant:.4f}({exp:+03d})"
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("list entries must be integers >= 1")
-    return sorted(values)
+def _int_in(low: int, too_low: str, high: int | None = None, too_high: str = ""):
+    """argparse type: one int in [low, high]; the messages format the value."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(too_low.format(value))
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(too_high.format(value))
+        return value
+
+    return parse
+
+
+def _int_list(high: int, too_high: str):
+    """argparse type: a sorted comma-separated int list, entries in [1, high]."""
+
+    def parse(text: str) -> list[int]:
+        try:
+            values = sorted(int(part) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated int list: {text!r}") from None
+        if not values or values[0] < 1:
+            raise argparse.ArgumentTypeError("list entries must be integers >= 1")
+        for value in values:
+            if value > high:
+                raise argparse.ArgumentTypeError(too_high.format(value))
+        return values
+
+    return parse
+
+
+_N_ELEMS = _int_in(1, "need at least one element, got {}", MAX_ELEMS, _TOO_MANY_ELEMS)
+_ORDER = _int_in(0, "truncation order must be >= 0, got {}", MAX_TRUNCATION,
+                 _ORDER_TOO_HIGH)
+# bench runs the original method, which needs at least one term
+_BENCH_ORDER = _int_in(1, "original method requires truncation >= 1", MAX_TRUNCATION,
+                       _ORDER_TOO_HIGH)
+_N_LIST = _int_list(MAX_ELEMS, _TOO_MANY_ELEMS)
+_M_LIST = _int_list(MAX_TRUNCATION, _ORDER_TOO_HIGH)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,17 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     formatter = argparse.ArgumentDefaultsHelpFormatter
 
-    def common(p, n_default=None, m_default=None):
+    def common(p, n_default=None, m_default=None, m_type=_ORDER):
         p.add_argument("--problem", choices=BUILTIN_IDS, default="ex1")
         p.add_argument("--quad", type=int, choices=(2, 3, 4, 5), default=3,
                        help="Gauss points per element for assembly")
         p.add_argument("--format", choices=("csv", "text"), default="csv")
         p.add_argument("--out", default=None, help="output path; stdout if omitted")
         if n_default is not None:
-            p.add_argument("--N", type=int, default=n_default, dest="n_elems",
+            p.add_argument("--N", type=_N_ELEMS, default=n_default, dest="n_elems",
                            help="number of elements")
         if m_default is not None:
-            p.add_argument("--M", type=int, default=m_default, dest="truncation",
+            p.add_argument("--M", type=m_type, default=m_default, dest="truncation",
                            help="truncation order")
 
     p = sub.add_parser("solve", formatter_class=formatter,
@@ -118,20 +151,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reproduce the N x M error table of a problem")
     common(p)
     p.add_argument("--method", choices=[m.value for m in Method], default="improved")
-    p.add_argument("--N-list", type=_int_list, default=list(DEFAULT_N_LIST),
+    p.add_argument("--N-list", type=_N_LIST, default=list(DEFAULT_N_LIST),
                    dest="n_list")
-    p.add_argument("--M-list", type=_int_list, default=list(DEFAULT_M_LIST),
+    p.add_argument("--M-list", type=_M_LIST, default=list(DEFAULT_M_LIST),
                    dest="m_list")
 
     p = sub.add_parser("bench", formatter_class=formatter,
                        help="compare cost and wall time of all methods")
-    common(p, n_default=2**15, m_default=10)
-    p.add_argument("--reps", type=int, default=5)
+    common(p, n_default=2**15, m_default=10, m_type=_BENCH_ORDER)
+    p.add_argument("--reps", type=_int_in(3, "--reps must be >= 3, got {}"), default=5)
 
     p = sub.add_parser("verify", formatter_class=formatter,
                        help="run the numeric property suites")
     common(p)
-    p.add_argument("--M-list", type=_int_list, default=list(range(1, 9)),
+    p.add_argument("--M-list", type=_M_LIST, default=list(range(1, 9)),
                    dest="m_list")
     p.add_argument("--suite", choices=VERIFY_SUITES, default=None,
                    help="run a single suite (default: all)")
@@ -179,7 +212,7 @@ def cmd_solve(args) -> list[str]:
         truncation=args.truncation,
         l2_error=l2_error(approx, problem.exact, ERROR_RULE),
         h1_error=h1_seminorm_error(approx, problem.exact_derivative, ERROR_RULE),
-        reference=(Reference.CLOSED_FORM if problem.name in _CLOSED_FORM
+        reference=(Reference.CLOSED_FORM if problem.closed_form
                    else Reference.FLUX_ORACLE),
     )
     lines = [REPORT_CSV_HEADER] if args.format == "csv" else []
@@ -197,9 +230,7 @@ def table_reports(problem, method: Method, n_list, m_list, rule) -> list[ErrorRe
     a closed form are scored against a direct solve on a fine nested mesh,
     the coarse solution being interpolated onto it.
     """
-    fine = None
-    if problem.name not in _CLOSED_FORM:
-        fine = fem_solve(problem, FINE_GRID_ELEMS, rule)
+    fine = None if problem.closed_form else fem_solve(problem, FINE_GRID_ELEMS, rule)
 
     def score(approx):
         if fine is None:
@@ -306,7 +337,7 @@ def _suite_equivalence(problem, m_list):
 def _suite_factorial_decay(problem, m_list):
     rule = QuadratureRule.gauss(3)
     result = solve_original(problem, 2**9, 6, rule)
-    psi_sup = sup_norm(psi_of(problem.kappa), problem.length, 65536)
+    psi_sup = sup_norm(psi_of(problem.kappa), problem.length, PSI_SUP_SAMPLES)
     u0_h1 = h1_seminorm(result.u0)
     lines, ok = [], True
     allowed = 1.0
@@ -338,6 +369,7 @@ _SUITES = {
     "factorial-decay": _suite_factorial_decay,
     "convergence-order": _suite_convergence_order,
 }
+VERIFY_SUITES = tuple(_SUITES)
 
 
 def cmd_verify(args) -> tuple[list[str], bool]:
@@ -356,33 +388,12 @@ def cmd_verify(args) -> tuple[list[str], bool]:
     return lines, all_ok
 
 
-def _validate_values(args, parser) -> None:
-    """Range checks on flag values; violations are usage errors (exit 2)."""
-    try:
-        if args.command == "solve":
-            MethodConfig(Method(args.method), args.n_elems, args.truncation,
-                         args.quad)
-        elif args.command == "bench":
-            MethodConfig(Method.ORIGINAL, args.n_elems, args.truncation, args.quad)
-            if args.reps < 3:
-                raise ValueError(f"--reps must be >= 3, got {args.reps}")
-        elif args.command == "table":
-            method = Method(args.method)
-            for n in args.n_list:
-                for m in args.m_list:
-                    MethodConfig(method, n, m, args.quad)
-        elif args.command == "verify":
-            # the suites choose their own meshes; only M comes from the flags
-            for m in args.m_list:
-                MethodConfig(Method.ORIGINAL, 1, m, args.quad)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_values(args, parser)
+    if (args.command == "solve" and args.method != Method.DIRECT.value
+            and args.truncation < 1):
+        parser.error(f"{args.method} method requires truncation >= 1")
     try:
         if args.command == "verify":
             lines, ok = cmd_verify(args)

@@ -26,10 +26,11 @@ term m is the sweep with weight 1 of its recursion flux
 
     c_{m,e} = - sum_{j=1}^{m} mu_{j,e} u_{m-j,e}',
 
-with each slope read back from the nodal values of the term before. The
-recursion computes each mu_j once and builds each term's flux once, so it
-remains a chain of M + 1 solves. The cost model is unchanged: M + 1 versus
-2 solves and M versus 1 right-hand-side assemblies.
+so the recursion takes each correction's slope u_j' = c_j from the flux it
+swept, not from its nodal values; only u_0' is read off u_0's nodes. It
+computes each mu_j once and builds each term's flux once, so it remains a
+chain of M + 1 solves. The cost model is unchanged: M + 1 versus 2 solves
+and M versus 1 right-hand-side assemblies.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .problems import (
 
 __all__ = [
     "Method",
-    "MethodConfig",
     "DecompositionResult",
     "solve_u0",
     "solve_original",
@@ -73,37 +73,6 @@ class Method(enum.Enum):
     ORIGINAL = "original"
     IMPROVED = "improved"
     DIRECT = "direct"
-
-
-# upper limits of a run, at least 4x above every documented or benchmarked
-# size, so that a mistyped N or M is a usage error rather than an
-# out-of-memory failure
-MAX_ELEMS = 2**20
-MAX_TRUNCATION = 64
-
-
-@dataclass(frozen=True)
-class MethodConfig:
-    """A fully specified run: method, truncation order, mesh and quadrature."""
-
-    method: Method
-    n_elems: int
-    truncation: int = 0
-    quad_points: int = 3
-
-    def __post_init__(self):
-        if self.n_elems < 1:
-            raise ValueError(f"need at least one element, got {self.n_elems}")
-        if self.n_elems > MAX_ELEMS:
-            raise ValueError(f"at most {MAX_ELEMS} elements, got {self.n_elems}")
-        if self.truncation < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.truncation}")
-        if self.truncation > MAX_TRUNCATION:
-            raise ValueError(
-                f"truncation order must be <= {MAX_TRUNCATION}, got {self.truncation}"
-            )
-        if self.method in (Method.ORIGINAL, Method.IMPROVED) and self.truncation < 1:
-            raise ValueError(f"{self.method.value} method requires truncation >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,10 +116,11 @@ def solve_original(
 
     With mu_j the per-element Gauss mean of psi^j / j!, term m is the sweep
     with weight 1 of the element flux c_m = -sum_{j=1}^{m} mu_j u_{m-j}',
-    built once from the slopes of the terms before it. The flux terms of the
-    corrections are natural in the weak form and cancel, so no boundary
-    assembly happens beyond the -beta term in the u_0 load. truncation = 0
-    degenerates to the plain u_0 solve.
+    built once from the slopes of the terms before it; each correction's
+    slope is the flux it was swept from, not a difference of nodal values.
+    The flux terms of the corrections are natural in the weak form and
+    cancel, so no boundary assembly happens beyond the -beta term in the u_0
+    load. truncation = 0 degenerates to the plain u_0 solve.
     """
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
@@ -167,7 +137,7 @@ def solve_original(
         for mu, slope in zip(moments, reversed(slopes)):  # mu_j u_{m-j}', j = 1..m
             flux -= mu * slope
         terms.append(flux_sweep(u0.mesh, flux, 1.0, 0.0))
-        slopes.append(terms[-1].derivative_values())
+        slopes.append(flux)  # a sweep with weight 1 has slope flux
 
     return DecompositionResult(
         u0=u0,

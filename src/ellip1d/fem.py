@@ -139,15 +139,6 @@ class NodalFunction:
         """Per-element (piecewise constant) derivative, shape (n_elems,)."""
         return np.diff(self.values) / self.mesh.h
 
-    def derivative_at(self, x):
-        """Derivative evaluated pointwise; at a node, the right-hand element wins."""
-        idx = np.clip(
-            np.searchsorted(self.mesh.nodes, x, side="right") - 1,
-            0,
-            self.mesh.n_elems - 1,
-        )
-        return self.derivative_values()[idx]
-
     def at_quadrature(self, rule: QuadratureRule) -> np.ndarray:
         """Values at every element quadrature point, shape (n_elems, n_points).
 

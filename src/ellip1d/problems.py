@@ -83,7 +83,11 @@ _VALIDATION_SAMPLES = 65536
 
 @dataclass(frozen=True)
 class Problem:
-    """One boundary-value problem instance, optionally with a reference solution."""
+    """One boundary-value problem instance, optionally with a reference solution.
+
+    closed_form says whether exact is a closed-form solution; if not, exact
+    is the flux oracle, and error tables score against a fine-grid solve.
+    """
 
     name: str
     length: float
@@ -93,6 +97,7 @@ class Problem:
     beta: float
     exact: ScalarField | None = None
     exact_derivative: ScalarField | None = None
+    closed_form: bool = False
     kappa_min: float = dataclasses.field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -371,7 +376,7 @@ def _ex1() -> Problem:
     )
     return Problem(
         name="ex1", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
-        exact=exact, exact_derivative=exact_d,
+        exact=exact, exact_derivative=exact_d, closed_form=True,
     )
 
 
@@ -396,7 +401,7 @@ def _ex2() -> Problem:
     exact = ScalarField(u, "oscillatory closed form", derivative=exact_d)
     return Problem(
         name="ex2", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
-        exact=exact, exact_derivative=exact_d,
+        exact=exact, exact_derivative=exact_d, closed_form=True,
     )
 
 
@@ -415,7 +420,7 @@ def _ex3() -> Problem:
     )
     return Problem(
         name="ex3", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
-        exact=exact, exact_derivative=exact_d,
+        exact=exact, exact_derivative=exact_d, closed_form=True,
     )
 
 
@@ -436,7 +441,7 @@ def _ex4() -> Problem:
     exact = dataclasses.replace(exact, derivative=exact_d)
     return Problem(
         name="ex4", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
-        exact=exact, exact_derivative=exact_d,
+        exact=exact, exact_derivative=exact_d, closed_form=False,
     )
 
 

@@ -263,6 +263,41 @@ class TestUsageErrors:
         assert info.value.code == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--method", "original", "--M", "0"],
+            ["bench", "--M", "0"],
+            ["solve", "--method", "direct", "--M", "-1"],
+            ["solve", "--method", "direct", "--N", "-3"],
+        ],
+    )
+    def test_sizes_below_limits_exit_two_before_any_work(self, argv, monkeypatch):
+        def refuse(args):
+            raise AssertionError("a run started below the size limits")
+
+        for name in ("cmd_solve", "cmd_table", "cmd_bench", "cmd_verify"):
+            monkeypatch.setattr(cli, name, refuse)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, dest, expected",
+        [
+            (["solve", "--N", "1048576"], "n_elems", 2**20),
+            (["solve", "--M", "64"], "truncation", 64),
+            (["bench", "--N", "1048576"], "n_elems", 2**20),
+            (["bench", "--M", "64"], "truncation", 64),
+            (["table", "--N-list", "8,1048576"], "n_list", [8, 2**20]),
+            (["table", "--M-list", "64,2"], "m_list", [2, 64]),
+            (["verify", "--M-list", "1,64"], "m_list", [1, 64]),
+        ],
+    )
+    def test_sizes_at_limits_parse(self, argv, dest, expected):
+        # parse only: a run at the limits is far too large for a test
+        assert getattr(build_parser().parse_args(argv), dest) == expected
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["solve", "--N", "1048577"], "at most 1048576 elements"),

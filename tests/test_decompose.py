@@ -7,10 +7,6 @@ from hypothesis import strategies as st
 
 from ellip1d import QuadratureRule, constant_field, exact_solution_via_flux, g_m, psi_of
 from ellip1d.decompose import (
-    MAX_ELEMS,
-    MAX_TRUNCATION,
-    Method,
-    MethodConfig,
     semi_analytic_U_M,
     solve_improved,
     solve_improved_orders,
@@ -31,28 +27,6 @@ from conftest import field, positive_problems, unit_problem
 
 EPS = np.finfo(float).eps
 RULE3 = QuadratureRule.gauss(3)
-
-
-class TestMethodConfig:
-    def test_valid(self):
-        MethodConfig(Method.IMPROVED, n_elems=16, truncation=3)
-        MethodConfig(Method.DIRECT, n_elems=16)
-        MethodConfig(Method.ORIGINAL, n_elems=MAX_ELEMS, truncation=MAX_TRUNCATION)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(method=Method.ORIGINAL, n_elems=8, truncation=0),
-            dict(method=Method.IMPROVED, n_elems=8, truncation=0),
-            dict(method=Method.DIRECT, n_elems=0),
-            dict(method=Method.DIRECT, n_elems=8, truncation=-1),
-            dict(method=Method.DIRECT, n_elems=MAX_ELEMS + 1),
-            dict(method=Method.IMPROVED, n_elems=8, truncation=MAX_TRUNCATION + 1),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            MethodConfig(**kwargs)
 
 
 class TestSolveU0:
@@ -178,6 +152,15 @@ class TestMethodEquivalence:
         a = solve_original(problem, 2**7, 1, rule3)
         b = solve_improved(problem, 2**7, 1, rule3)
         assert np.abs(a.U_M.values - b.U_M.values).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=positive_problems(max_n=256, psi_amp=0.5))
+    def test_first_order_equivalence_on_random_problems(self, case):
+        problem, n = case
+        a = solve_original(problem, n, 1, RULE3).U_M.values
+        b = solve_improved(problem, n, 1, RULE3).U_M.values
+        scale = max(np.abs(a).max(), np.abs(b).max())
+        assert np.abs(a - b).max() <= 4 * n * EPS * scale
 
     def test_gap_shrinks_with_mesh(self, rule3, ex1):
         gaps = []

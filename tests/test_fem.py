@@ -433,13 +433,6 @@ class TestNodalFunction:
         nf = NodalFunction(mesh, np.array([0.0, 1.0, 1.0, 4.0, 2.0]))
         np.testing.assert_allclose(nf.derivative_values(), [2.0, 0.0, 6.0, -4.0])
 
-    def test_derivative_at_node_uses_right_element(self):
-        mesh = build_mesh(1.0, 2)
-        nf = NodalFunction(mesh, np.array([0.0, 1.0, 3.0]))
-        assert nf.derivative_at(0.0) == 2.0
-        assert nf.derivative_at(0.5) == 4.0  # node: right-hand element
-        assert nf.derivative_at(1.0) == 4.0  # endpoint: last element
-
 
 class TestPointMajorLayout:
     """Element-point arrays keep their shape and values, stored point-major."""
