@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .decompose import Method, semi_analytic_U_M, solve_improved, solve_original
 from .fem import QuadratureRule, fem_solve
-from .norms import ERROR_RULE, _l2_error_from_values, l2_error
+from .norms import field_errors
 from .problems import Problem, exact_solution_via_flux
 
 __all__ = ["MethodStats", "BenchReport", "run_benchmark", "BENCH_CSV_HEADER"]
@@ -77,7 +77,10 @@ def run_benchmark(
     approximation of the same order; the direct solve against the
     flux-integral solution. Both references are Chebyshev antiderivatives
     accurate to rounding, built once before the timed runs, so the L2
-    column carries no oracle error. Runs are strictly sequential.
+    column carries no oracle error. After the timed runs, norms.field_errors
+    samples each reference once; only its L2 values are kept, so the
+    derivative samples it also takes cost one field evaluation per
+    reference, outside the timing. Runs are strictly sequential.
     """
     if reps < 3:
         raise ValueError(f"need at least 3 repetitions, got {reps}")
@@ -85,36 +88,27 @@ def run_benchmark(
     truncated_ref = semi_analytic_U_M(problem, truncation, ORACLE_TOL)
     full_ref = exact_solution_via_flux(problem, ORACLE_TOL)
 
-    methods: dict[Method, MethodStats] = {}
-
     original, orig_ns = _timed(
         lambda: solve_original(problem, n_elems, truncation, rule), reps
     )
     improved, impr_ns = _timed(
         lambda: solve_improved(problem, n_elems, truncation, rule), reps
     )
-    # both rows share the mesh, so the truncated reference is sampled once
-    truncated_values = truncated_ref(original.U_M.mesh.element_points(ERROR_RULE))
-    for method, result, wall_ns in (
-        (Method.ORIGINAL, original, orig_ns),
-        (Method.IMPROVED, improved, impr_ns),
-    ):
-        methods[method] = MethodStats(
-            solves=result.solve_count,
-            assemblies=result.assembly_count,
-            factorizations=result.factorization_count,
-            wall_ns_median=wall_ns,
-            l2_error=_l2_error_from_values(result.U_M, truncated_values, ERROR_RULE),
-        )
-
     direct, direct_ns = _timed(lambda: fem_solve(problem, n_elems, rule), reps)
-    methods[Method.DIRECT] = MethodStats(
-        solves=1,
-        assemblies=0,
-        factorizations=1,
-        wall_ns_median=direct_ns,
-        l2_error=l2_error(direct, full_ref, ERROR_RULE),
-    )
+
+    # both decomposition rows share one sampling of the truncated reference
+    (orig_l2, _), (impr_l2, _) = field_errors(
+        direct.mesh, [original.U_M, improved.U_M], truncated_ref,
+        truncated_ref.derivative)
+    [(direct_l2, _)] = field_errors(direct.mesh, [direct], full_ref, full_ref.derivative)
+    methods = {
+        Method.ORIGINAL: MethodStats(original.solve_count, original.assembly_count,
+                                     original.factorization_count, orig_ns, orig_l2),
+        Method.IMPROVED: MethodStats(improved.solve_count, improved.assembly_count,
+                                     improved.factorization_count, impr_ns, impr_l2),
+        Method.DIRECT: MethodStats(solves=1, assemblies=0, factorizations=1,
+                                   wall_ns_median=direct_ns, l2_error=direct_l2),
+    }
     return BenchReport(
         problem=problem.name,
         n_elems=n_elems,

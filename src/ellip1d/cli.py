@@ -29,16 +29,14 @@ from .decompose import (
 from .fem import QuadratureRule, fem_solve
 from .integrate import AccuracyError
 from .norms import (
-    ERROR_RULE,
     PSI_SUP_SAMPLES,
     BoundViolationError,
     ErrorReport,
     Reference,
+    field_errors,
     fine_grid_h1_error,
     fine_grid_l2_error,
     h1_seminorm,
-    h1_seminorm_error,
-    l2_error,
     observed_order,
     sup_norm,
     tail_bound,
@@ -55,10 +53,11 @@ DEFAULT_M_LIST = (2, 4, 6, 8, 10)
 FINE_GRID_ELEMS = 2**15
 
 # upper limits of a run, at least 4x above every documented or benchmarked
-# size, so that a mistyped N or M is a usage error rather than an
-# out-of-memory failure
+# size, so that a mistyped N, M or repetition count is a usage error rather
+# than an out-of-memory failure or a run that never ends
 MAX_ELEMS = 2**20
 MAX_TRUNCATION = 64
+MAX_REPS = 1000
 _TOO_MANY_ELEMS = f"at most {MAX_ELEMS} elements, got {{}}"
 _ORDER_TOO_HIGH = f"truncation order must be <= {MAX_TRUNCATION}, got {{}}"
 
@@ -117,6 +116,8 @@ _ORDER = _int_in(0, "truncation order must be >= 0, got {}", MAX_TRUNCATION,
 # bench runs the original method, which needs at least one term
 _BENCH_ORDER = _int_in(1, "original method requires truncation >= 1", MAX_TRUNCATION,
                        _ORDER_TOO_HIGH)
+_REPS = _int_in(3, "need at least 3 repetitions, got {}", MAX_REPS,
+               f"at most {MAX_REPS} repetitions, got {{}}")
 _N_LIST = _int_list(MAX_ELEMS, _TOO_MANY_ELEMS)
 _M_LIST = _int_list(MAX_TRUNCATION, _ORDER_TOO_HIGH)
 
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", formatter_class=formatter,
                        help="compare cost and wall time of all methods")
     common(p, n_default=2**15, m_default=10, m_type=_BENCH_ORDER)
-    p.add_argument("--reps", type=_int_in(3, "--reps must be >= 3, got {}"), default=5)
+    p.add_argument("--reps", type=_REPS, default=5)
 
     p = sub.add_parser("verify", formatter_class=formatter,
                        help="run the numeric property suites")
@@ -205,16 +206,12 @@ def cmd_solve(args) -> list[str]:
     rule = QuadratureRule.gauss(args.quad)
     approx = _run_method(problem, Method(args.method), args.n_elems,
                          args.truncation, rule)
-    report = ErrorReport(
-        problem=problem.name,
-        method=args.method,
-        n_elems=args.n_elems,
-        truncation=args.truncation,
-        l2_error=l2_error(approx, problem.exact, ERROR_RULE),
-        h1_error=h1_seminorm_error(approx, problem.exact_derivative, ERROR_RULE),
-        reference=(Reference.CLOSED_FORM if problem.closed_form
-                   else Reference.FLUX_ORACLE),
-    )
+    [(l2, h1)] = field_errors(approx.mesh, [approx], problem.exact,
+                              problem.exact_derivative)
+    reference = Reference.CLOSED_FORM if problem.closed_form else Reference.FLUX_ORACLE
+    report = ErrorReport(problem=problem.name, method=args.method, n_elems=args.n_elems,
+                         truncation=args.truncation, l2_error=l2, h1_error=h1,
+                         reference=reference)
     lines = [REPORT_CSV_HEADER] if args.format == "csv" else []
     lines.append(_report_row(report, args.format))
     return lines
@@ -226,37 +223,36 @@ def table_reports(problem, method: Method, n_list, m_list, rule) -> list[ErrorRe
     Each row (one N) builds one mesh and one u_0: the direct solve ignores M
     and is scored once for every column, the original method runs once to
     the largest M and takes each column as a prefix sum of its terms, and
-    the improved method reads every G_M off one series pass. Problems without
-    a closed form are scored against a direct solve on a fine nested mesh,
-    the coarse solution being interpolated onto it.
+    the improved method reads every G_M off one series pass. A row is scored
+    in one field_errors call, which samples the closed form once per mesh.
+    Problems without a closed form are scored against a direct solve on a
+    fine nested mesh, the coarse solution being interpolated onto it.
     """
     fine = None if problem.closed_form else fem_solve(problem, FINE_GRID_ELEMS, rule)
-
-    def score(approx):
-        if fine is None:
-            return (l2_error(approx, problem.exact, ERROR_RULE),
-                    h1_seminorm_error(approx, problem.exact_derivative, ERROR_RULE),
-                    Reference.CLOSED_FORM)
-        return (fine_grid_l2_error(approx, fine), fine_grid_h1_error(approx, fine),
-                Reference.FINE_GRID)
-
+    reference = Reference.CLOSED_FORM if fine is None else Reference.FINE_GRID
     orders = sorted(set(m_list))
     reports = []
     for n in n_list:
         if method is Method.DIRECT:
-            row = dict.fromkeys(orders, score(fem_solve(problem, n, rule)))
+            row = [fem_solve(problem, n, rule)]
         elif method is Method.ORIGINAL:
             result = solve_original(problem, n, orders[-1], rule)
-            row = {m: score(truncated_sum(result.u0, result.terms[:m])) for m in orders}
+            row = [truncated_sum(result.u0, result.terms[:m]) for m in orders]
         else:
-            _, totals = solve_improved_orders(problem, n, orders, rule)
-            row = {m: score(total) for m, total in zip(orders, totals)}
+            _, row = solve_improved_orders(problem, n, orders, rule)
+        if fine is None:
+            scores = field_errors(row[0].mesh, row, problem.exact,
+                                  problem.exact_derivative)
+        else:
+            scores = [(fine_grid_l2_error(v, fine), fine_grid_h1_error(v, fine))
+                      for v in row]
+        # the direct solve ignores M: its one score serves every column
+        if method is Method.DIRECT:
+            scores *= len(orders)
+        cells = dict(zip(orders, scores))
         for m in m_list:
-            l2, h1, ref = row[m]
-            reports.append(ErrorReport(
-                problem=problem.name, method=method.value, n_elems=n,
-                truncation=m, l2_error=l2, h1_error=h1, reference=ref,
-            ))
+            reports.append(ErrorReport(problem.name, method.value, n, m, *cells[m],
+                                       reference))
     return reports
 
 
@@ -351,12 +347,10 @@ def _suite_factorial_decay(problem, m_list):
 
 def _suite_convergence_order(problem, m_list):
     rule = QuadratureRule.gauss(3)
-    reference = problem.exact
     n_values = [2**k for k in range(5, 12)]
-    errors = [
-        l2_error(fem_solve(problem, n, rule), reference, ERROR_RULE)
-        for n in n_values
-    ]
+    solutions = [fem_solve(problem, n, rule) for n in n_values]
+    errors = [field_errors(u.mesh, [u], problem.exact, problem.exact_derivative)[0][0]
+              for u in solutions]
     order = observed_order(n_values, errors)
     ok = 1.9 <= order <= 2.1
     return ok, [f"direct-solve L2 order {order:.3f} over N={n_values[0]}..{n_values[-1]}"]

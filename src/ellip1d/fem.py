@@ -58,7 +58,6 @@ __all__ = [
     "solve_tridiagonal",
     "flux_sweep",
     "fem_solve",
-    "tridiagonal_matvec",
 ]
 
 
@@ -307,14 +306,6 @@ def factorize(system: TridiagonalSystem) -> TridiagonalFactorization:
 def solve_tridiagonal(system: TridiagonalSystem) -> NodalFunction:
     """Direct solve of any tridiagonal system by the Thomas algorithm."""
     return factorize(system).solve(system.rhs)
-
-
-def tridiagonal_matvec(system: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
-    """A x for the system's matrix; used for residual checks."""
-    y = system.diag * x
-    y[:-1] += system.sup * x[1:]
-    y[1:] += system.sub * x[:-1]
-    return y
 
 
 def load_flux(rhs: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Error norms and numeric checks of the series-convergence theory.
 
 L2 and H1-seminorm errors are computed per element with Gauss quadrature
-against an analytic (or semi-analytic) reference. The theory checks bound the
-continuous-level truncation error |u - U_M|_H1 by the exponential-series tail
+against an analytic (or semi-analytic) reference. field_errors, the scorer of
+table, bench, solve and verify, samples a reference and its derivative once
+per mesh and scores any number of nodal functions on it. The theory checks
+bound the continuous-level truncation error |u - U_M|_H1 by the
+exponential-series tail
 
     ||psi||_inf^{M+1} / (M+1)! * exp(||psi||_inf) * |u_0|_H1
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NodalFunction, QuadratureRule
+from .fem import Mesh, NodalFunction, QuadratureRule
 from .integrate import integral
 from .problems import Problem, ScalarField, flux_field, g_m, psi_of
 
@@ -26,6 +29,7 @@ __all__ = [
     "ErrorReport",
     "BoundViolationError",
     "ERROR_RULE",
+    "field_errors",
     "l2_error",
     "h1_seminorm_error",
     "h1_seminorm",
@@ -64,6 +68,29 @@ class ErrorReport:
 ERROR_RULE = QuadratureRule.gauss(5)
 
 
+def _rms(diff: np.ndarray, h: float, rule: QuadratureRule) -> float:
+    """sqrt(int diff^2) for diff sampled at every element's quadrature points."""
+    return float(np.sqrt(h * np.sum((diff * diff) @ rule.weights)))
+
+
+def field_errors(
+    mesh: Mesh, functions, reference: ScalarField, reference_derivative: ScalarField
+) -> list[tuple[float, float]]:
+    """(L2, H1-seminorm) error of each nodal function on mesh against a reference.
+
+    The reference and its derivative are sampled once, at mesh's ERROR_RULE
+    points, for all the functions. A caller that needs only the L2 values
+    still pays for the one derivative evaluation.
+    """
+    pts = mesh.element_points(ERROR_RULE)
+    values, slopes = reference(pts), reference_derivative(pts)
+    if not all(v.mesh.same_as(mesh) for v in functions):
+        raise ValueError(f"nodal functions must live on the {mesh.n_elems}-element mesh")
+    return [(_rms(v.at_quadrature(ERROR_RULE) - values, mesh.h, ERROR_RULE),
+             _rms(v.derivative_values()[:, None] - slopes, mesh.h, ERROR_RULE))
+            for v in functions]
+
+
 def l2_error(approx: NodalFunction, reference: ScalarField, rule: QuadratureRule) -> float:
     """L2 norm of approx - reference by per-element Gauss quadrature.
 
@@ -72,15 +99,8 @@ def l2_error(approx: NodalFunction, reference: ScalarField, rule: QuadratureRule
     """
     if rule.n_points < 4:
         raise ValueError(f"error quadrature needs >= 4 points, got {rule.n_points}")
-    return _l2_error_from_values(approx, reference(approx.mesh.element_points(rule)), rule)
-
-
-def _l2_error_from_values(
-    approx: NodalFunction, reference_values: np.ndarray, rule: QuadratureRule
-) -> float:
-    """l2_error with the reference already sampled at approx's element points."""
-    diff = approx.at_quadrature(rule) - reference_values
-    return float(np.sqrt(approx.mesh.h * np.sum((diff * diff) @ rule.weights)))
+    diff = approx.at_quadrature(rule) - reference(approx.mesh.element_points(rule))
+    return _rms(diff, approx.mesh.h, rule)
 
 
 def h1_seminorm_error(
@@ -89,7 +109,7 @@ def h1_seminorm_error(
     """L2 norm of approx' - reference_derivative, approx' piecewise constant."""
     pts = approx.mesh.element_points(rule)
     diff = approx.derivative_values()[:, None] - reference_derivative(pts)
-    return float(np.sqrt(approx.mesh.h * np.sum((diff * diff) @ rule.weights)))
+    return _rms(diff, approx.mesh.h, rule)
 
 
 def h1_seminorm(v: NodalFunction) -> float:

@@ -36,6 +36,14 @@ def ex4():
     return builtin_problem("ex4")
 
 
+def tridiagonal_matvec(system, x):
+    """A x for a TridiagonalSystem's matrix; used for residual checks."""
+    y = system.diag * x
+    y[:-1] += system.sup * x[1:]
+    y[1:] += system.sub * x[:-1]
+    return y
+
+
 def unit_problem(f=None, alpha=0.0, beta=0.0, name="unit"):
     """Problem with kappa = 1 and the given data; u0 is its exact solution."""
     return Problem(

@@ -1,14 +1,14 @@
+import dataclasses
 import statistics
 import time
 
 import numpy as np
 import pytest
 
-from ellip1d import bench, builtin_problem, fem_solve, l2_error
+from ellip1d import bench, builtin_problem, exact_solution_via_flux, fem_solve, l2_error
 from ellip1d.bench import BENCH_CSV_HEADER, ORACLE_TOL, run_benchmark
 from ellip1d.decompose import Method, semi_analytic_U_M, solve_improved, solve_original
 from ellip1d.norms import ERROR_RULE
-from ellip1d.problems import ScalarField
 
 from conftest import unit_problem
 
@@ -86,13 +86,15 @@ class TestReportShape:
     @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
     def test_truncated_oracle_sampled_once(self, pid, rule3, monkeypatch):
         # both decomposition rows share one sampling of the truncated oracle,
-        # and score exactly as two separate l2_error calls would
+        # and every row scores exactly as a separate l2_error call would
         problem = builtin_problem(pid)
         samples = []
 
         def counted_oracle(*args):
             oracle = semi_analytic_U_M(*args)
-            return ScalarField(lambda x: samples.append(x.size) or oracle(x))
+            # keeps the oracle's derivative, which the scorer also samples
+            return dataclasses.replace(
+                oracle, fn=lambda x: samples.append(x.size) or oracle(x))
 
         monkeypatch.setattr(bench, "semi_analytic_U_M", counted_oracle)
         report = run_benchmark(problem, 48, 3, reps=3)
@@ -102,6 +104,9 @@ class TestReportShape:
                               (Method.IMPROVED, solve_improved)):
             expected = l2_error(solve(problem, 48, 3, rule3).U_M, oracle, ERROR_RULE)
             assert report.methods[method].l2_error == expected
+        direct = fem_solve(problem, 48, rule3)
+        expected = l2_error(direct, exact_solution_via_flux(problem, ORACLE_TOL), ERROR_RULE)
+        assert report.methods[Method.DIRECT].l2_error == expected
 
 
 class TestTiming:

@@ -156,8 +156,10 @@ class TestTableRowsFromOneRun:
     def test_cells_equal_per_cell_runs(self, pid, method):
         problem = builtin_problem(pid)
         rule = QuadratureRule.gauss(3)
-        n_list, m_list = [16, 8, 16], [6, 2, 6, 3]
         fine = fem_solve(problem, FINE_GRID_ELEMS, rule) if pid == "ex4" else None
+        # the fine-grid reference needs nested meshes; closed forms take any N
+        n_list = [16, 8, 16] if fine is not None else [16, 7, 30, 100, 8, 30]
+        m_list = [6, 2, 6, 3]
         reports = table_reports(problem, method, n_list, m_list, rule)
         assert [(r.n_elems, r.truncation) for r in reports] == [
             (n, m) for n in n_list for m in m_list]
@@ -196,6 +198,8 @@ class TestBench:
             main(["bench", "--problem", "ex1", "--N", "16", "--M", "2",
                   "--reps", "2"])
         assert info.value.code == 2
+        assert ("argument --reps: need at least 3 repetitions, got 2"
+                in capsys.readouterr().err)
 
 
 class TestVerify:
@@ -291,6 +295,7 @@ class TestUsageErrors:
             (["table", "--N-list", "8,1048576"], "n_list", [8, 2**20]),
             (["table", "--M-list", "64,2"], "m_list", [2, 64]),
             (["verify", "--M-list", "1,64"], "m_list", [1, 64]),
+            (["bench", "--reps", "1000"], "reps", 1000),
         ],
     )
     def test_sizes_at_limits_parse(self, argv, dest, expected):
@@ -306,6 +311,8 @@ class TestUsageErrors:
             (["table", "--M-list", "2,65"], "must be <= 64"),
             (["bench", "--N", "1048577"], "at most 1048576 elements"),
             (["verify", "--M-list", "1,65"], "must be <= 64"),
+            (["bench", "--reps", "1001"], "at most 1000 repetitions, got 1001"),
+            (["bench", "--reps", "1000000000"], "at most 1000 repetitions"),
         ],
     )
     def test_sizes_above_limits_exit_two_before_any_work(self, argv, message, capsys,

@@ -23,9 +23,9 @@ from ellip1d import (
     solve_tridiagonal,
 )
 from ellip1d.decompose import solve_improved, solve_original, solve_u0
-from ellip1d.fem import Mesh, NodalFunction, TridiagonalSystem, tridiagonal_matvec
+from ellip1d.fem import Mesh, NodalFunction, TridiagonalSystem
 from ellip1d.problems import Problem, psi_of
-from conftest import field, positive_problems, unit_problem
+from conftest import field, positive_problems, tridiagonal_matvec, unit_problem
 
 
 class TestBuildMesh:

@@ -15,9 +15,11 @@ from ellip1d import (
 from ellip1d.decompose import solve_improved
 from ellip1d.fem import NodalFunction, build_mesh, fem_solve
 from ellip1d.norms import (
+    ERROR_RULE,
     BoundViolationError,
     ErrorReport,
     Reference,
+    field_errors,
     fine_grid_h1_error,
     fine_grid_l2_error,
     h1_seminorm,
@@ -80,6 +82,45 @@ class TestH1SeminormError:
         assert h1_seminorm_error(approx, field(lambda x: 2.0 * x), rule5) == (
             pytest.approx(2.0 / math.sqrt(3.0), abs=1e-14)
         )
+
+
+class TestFieldErrors:
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_k_functions_in_one_call_equal_k_single_calls(self, pid, rule3, request):
+        problem = request.getfixturevalue(pid)
+        n = 37
+        rng = np.random.default_rng(5)
+        solutions = [fem_solve(problem, n, rule3)] + [
+            solve_improved(problem, n, m, rule3).U_M for m in (1, 2, 5)]
+        solutions.append(NodalFunction(solutions[0].mesh, rng.normal(size=n + 1)))
+        mesh = solutions[0].mesh
+        together = field_errors(mesh, solutions, problem.exact, problem.exact_derivative)
+        alone = [field_errors(mesh, [v], problem.exact, problem.exact_derivative)[0]
+                 for v in solutions]
+        assert together == alone
+        assert together == [
+            (l2_error(v, problem.exact, ERROR_RULE),
+             h1_seminorm_error(v, problem.exact_derivative, ERROR_RULE))
+            for v in solutions]
+
+    def test_reference_sampled_once_for_all_functions(self):
+        calls = []
+
+        def counted(fn):
+            return field(lambda x: calls.append(x.shape) or fn(x))
+
+        mesh = build_mesh(1.0, 10)
+        functions = [NodalFunction(mesh, np.full(11, c)) for c in (0.0, 1.0, 2.0)]
+        scores = field_errors(mesh, functions, counted(lambda x: 0.0 * x),
+                              counted(lambda x: 0.0 * x))
+        assert calls == [(10, ERROR_RULE.n_points)] * 2
+        assert [l2 for l2, _ in scores] == pytest.approx([0.0, 1.0, 2.0], abs=1e-15)
+        assert [h1 for _, h1 in scores] == [0.0, 0.0, 0.0]
+
+    def test_rejects_function_on_other_mesh(self):
+        with pytest.raises(ValueError, match="4-element mesh"):
+            field_errors(build_mesh(1.0, 4), [interpolant(lambda x: x, 8)],
+                         constant_field(0.0), constant_field(0.0))
 
 
 class TestH1Seminorm:
