@@ -35,7 +35,6 @@ from .fem import (
     load_flux,
     solve_tridiagonal,
 )
-from .integrate import AccuracyError
 from .norms import (
     BoundViolationError,
     ErrorReport,
@@ -50,6 +49,7 @@ from .norms import (
 )
 from .problems import (
     BUILTIN_IDS,
+    AccuracyError,
     Problem,
     ScalarField,
     builtin_problem,

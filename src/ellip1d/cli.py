@@ -27,7 +27,6 @@ from .decompose import (
     truncated_sum,
 )
 from .fem import QuadratureRule, fem_solve
-from .integrate import AccuracyError
 from .norms import (
     PSI_SUP_SAMPLES,
     BoundViolationError,
@@ -42,7 +41,8 @@ from .norms import (
     tail_bound,
     theorem_bound_check,
 )
-from .problems import BUILTIN_IDS, builtin_problem, psi_of
+from .problems import (BUILTIN_IDS, AccuracyError, builtin_problem, psi_of,
+                       series_remainders)
 
 __all__ = ["main", "run"]
 
@@ -292,32 +292,23 @@ def cmd_bench(args) -> list[str]:
 
 
 def _suite_tail_bound(problem, m_list):
-    checked, worst = 0, -math.inf
-    for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-        for m in range(1, 16):
-            term = x ** (m + 1) / math.factorial(m + 1)
-            tail = term
-            for j in range(m + 2, 201):
-                term *= x / j
-                tail += term
-            bound = tail_bound(x, m)
-            if tail >= bound:
-                return False, [f"tail {tail:.6e} >= bound {bound:.6e} at x={x}, M={m}"]
-            checked += 1
-            worst = max(worst, tail / bound)
-    return True, [f"{checked} explicit tails strictly below bound "
+    xs, orders = (0.1, 0.5, 1.0, 2.0, 5.0), range(1, 16)
+    # at psi = -x the remainder is the explicit tail sum_{j>M} x^j / j!
+    tails = series_remainders([-x for x in xs], orders)
+    cells = [(float(tails[m][i]), tail_bound(x, m), x, m)
+             for i, x in enumerate(xs) for m in orders]
+    for tail, bound, x, m in cells:
+        if tail >= bound:
+            return False, [f"tail {tail:.6e} >= bound {bound:.6e} at x={x}, M={m}"]
+    worst = max(tail / bound for tail, bound, _, _ in cells)
+    return True, [f"{len(cells)} explicit tails strictly below bound "
                   f"(worst ratio {worst:.3f})"]
 
 
 def _suite_theorem_bound(problem, m_list):
-    triples = theorem_bound_check(problem, max(m_list), tol=1e-10)
-    wanted = set(m_list)
-    lines = [
-        f"M={m}: error {err:.6e} <= bound {bnd:.6e}"
-        for m, err, bnd in triples
-        if m in wanted
-    ]
-    return True, lines
+    triples = theorem_bound_check(problem, max(m_list))
+    return True, [f"M={m}: error {err:.6e} <= bound {bnd:.6e}"
+                  for m, err, bnd in triples if m in m_list]
 
 
 def _suite_equivalence(problem, m_list):
@@ -388,6 +379,11 @@ def main(argv=None) -> int:
     if (args.command == "solve" and args.method != Method.DIRECT.value
             and args.truncation < 1):
         parser.error(f"{args.method} method requires truncation >= 1")
+    if args.command == "table":
+        loose = [str(n) for n in args.n_list if FINE_GRID_ELEMS % n]
+        if loose and not builtin_problem(args.problem).closed_form:
+            parser.error(f"argument --N-list: the {FINE_GRID_ELEMS}-element fine grid of "
+                         f"{args.problem} does not nest N = {', '.join(loose)}")
     try:
         if args.command == "verify":
             lines, ok = cmd_verify(args)

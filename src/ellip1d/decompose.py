@@ -205,10 +205,9 @@ def semi_analytic_U_M(problem: Problem, truncation: int, tol: float) -> ScalarFi
     """
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     series = g_m(psi_of(problem.kappa), truncation)
     return flux_weighted_antiderivative(
-        problem,
-        series,
-        tol,
-        f"order-{truncation} truncated approximation of {problem.name}",
+        problem, series, f"order-{truncation} truncated approximation of {problem.name}"
     )

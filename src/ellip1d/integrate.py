@@ -1,37 +1,24 @@
 """Adaptive Gauss quadrature with batch cumulative evaluation.
 
-The package calls it only for the scalar integrals of the theorem-bound
-check (norms.theorem_bound_check); the mesh-free references are Chebyshev
-antiderivatives (problems.py), and cumulative stays as public API only.
-Integrating segment by segment with a vectorized Gauss pair and interval
-halving keeps many segments a handful of array operations. AccuracyError is
-also what the Chebyshev references raise for a field they cannot resolve.
-
-Error control per interval compares a 7-point Gauss estimate against the sum
-of 7-point estimates on its halves; intervals failing their length-prorated
-share of the tolerance are split until the global budget of subintervals is
-exhausted.
+No package module imports it: the references are Chebyshev antiderivatives
+(problems.py) and the theorem-bound check uses the error norms' Gauss rule
+(norms.py). It stays only because perfbench/tracing.py wraps its three
+functions. Each interval's 7-point Gauss estimate is compared with the sum
+over its halves; intervals failing their length-prorated share of the
+tolerance are split until a global budget of subintervals is exhausted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .problems import AccuracyError
+
 __all__ = ["AccuracyError", "integral", "segment_integrals", "cumulative"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 MAX_SUBINTERVALS = 1_000_000
-
-
-class AccuracyError(RuntimeError):
-    """Requested tolerance not reached within the subdivision budget."""
-
-    def __init__(self, message, estimate=None, error_estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_estimate = error_estimate
-
 
 _PANEL_CHUNK = 1 << 18  # bounds transient memory for very long panel batches
 
@@ -121,9 +108,4 @@ def cumulative(fn, points, tol, base=0.0):
 
     points must be sorted ascending.
     """
-    segs = segment_integrals(fn, points, tol)
-    out = np.empty(len(points))
-    out[0] = base
-    np.cumsum(segs, out=out[1:])
-    out[1:] += base
-    return out
+    return base + np.concatenate(([0.0], np.cumsum(segment_integrals(fn, points, tol))))

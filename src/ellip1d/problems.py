@@ -31,9 +31,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval
 
-from .integrate import AccuracyError
-
 __all__ = [
+    "AccuracyError",
     "ScalarField",
     "Problem",
     "constant_field",
@@ -45,6 +44,14 @@ __all__ = [
     "flux_weighted_antiderivative",
     "exact_solution_via_flux",
 ]
+
+
+class AccuracyError(RuntimeError):
+    """A field or integral not resolved to the accuracy asked for within its budget."""
+
+    def __init__(self, message, estimate=None, error_estimate=None):
+        super().__init__(message)
+        self.estimate, self.error_estimate = estimate, error_estimate
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,29 @@ def series_partial_sums(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]
         if j in wanted:
             sums[j] = total
     return sums
+
+
+def series_remainders(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
+    """R_m = e^-psi - G_m = sum_{j>m} (-psi)^j / j! at psi_values, for every m in orders.
+
+    The terms come from the recurrence of series_partial_sums, continued
+    until each is below eps/8 of |(-psi)^(m+1) / (m+1)!| e^-max(psi, 0), the
+    Lagrange lower bound of |R_m|, for every wanted m. They are summed from
+    the smallest up, so no R_m is a difference of O(1) values.
+    """
+    wanted = set(orders)
+    if min(wanted) < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {min(wanted)}")
+    neg = -np.asarray(psi_values, dtype=float)
+    terms = [np.ones_like(neg)]
+    for j in range(1, max(wanted) + 2):
+        terms.append(terms[-1] * neg / j)
+    leads = np.min(np.abs([terms[m + 1] for m in wanted]), axis=0)
+    floor = _EPS / 8 * np.exp(np.minimum(neg, 0.0)) * leads
+    while np.any(np.abs(terms[-1]) > floor):
+        terms.append(terms[-1] * neg / len(terms))
+    tails = np.cumsum(terms[:0:-1], axis=0)[::-1]  # tails[m] = sum_{j>m} t_j
+    return {m: tails[m] for m in wanted}
 
 
 def g_m(psi: ScalarField, m: int) -> ScalarField:
@@ -330,38 +360,36 @@ def _reciprocal(kappa: ScalarField) -> ScalarField:
     return ScalarField(lambda x: 1.0 / kappa(x), f"1/({kappa.description})")
 
 
-def flux_field(problem: Problem, tol: float) -> ScalarField:
+def flux_field(problem: Problem) -> ScalarField:
     """The solution flux kappa u' as a function: -beta + int_x^L f.
 
     This equals the derivative of the unit-coefficient solution of the same
     data, which seeds both decomposition methods. It is the antiderivative of
-    the piecewise Chebyshev interpolant of f, resolved to rounding level
-    whatever tol (which must be positive) asks for.
+    the piecewise Chebyshev interpolant of f, resolved to rounding level.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     return _flux(problem.f, problem.length, problem.beta, problem.name)
 
 
 def flux_weighted_antiderivative(
-    problem: Problem, weight: ScalarField, tol: float, description: str
+    problem: Problem, weight: ScalarField, description: str
 ) -> ScalarField:
     """alpha + int_0^x weight(s) (kappa u')(s) ds as a Chebyshev antiderivative.
 
     The integrand weight * flux is interpolated at Chebyshev points to
     rounding level, on panels where degree 64 does not resolve it, and
-    integrated once; tol must be positive but does not limit the accuracy.
-    An integrand the panel budget cannot resolve raises AccuracyError. The
-    returned field carries its integrand as .derivative.
+    integrated once. An integrand the panel budget cannot resolve raises
+    AccuracyError. The returned field carries its integrand as .derivative.
     """
-    flux = flux_field(problem, tol)
+    flux = flux_field(problem)
     return _weighted_antiderivative(flux, weight, problem.length, problem.alpha, description)
 
 
 def exact_solution_via_flux(problem: Problem, tol: float) -> ScalarField:
     """Reference solution u(x) = alpha + int_0^x kappa^-1 (-beta + int_s^L f) ds."""
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     return flux_weighted_antiderivative(
-        problem, _reciprocal(problem.kappa), tol, f"flux-integral solution of {problem.name}"
+        problem, _reciprocal(problem.kappa), f"flux-integral solution of {problem.name}"
     )
 
 

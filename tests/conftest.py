@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -42,6 +44,14 @@ def tridiagonal_matvec(system, x):
     y[:-1] += system.sup * x[1:]
     y[1:] += system.sub * x[:-1]
     return y
+
+
+def explicit_tail(psi: float, m: int) -> float:
+    """sum_{j>m} (-psi)^j / j! as math.fsum of each term computed on its own.
+
+    For |psi| <= 3 the forty terms leave out less than 1e-28 of the tail.
+    """
+    return math.fsum((-psi) ** j / math.factorial(j) for j in range(m + 1, m + 41))
 
 
 def unit_problem(f=None, alpha=0.0, beta=0.0, name="unit"):

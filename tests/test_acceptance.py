@@ -33,6 +33,7 @@ settled from the paper's abstract alone, so both stay as they are.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from ellip1d.decompose import Method, solve_improved, solve_original
 from ellip1d.norms import fine_grid_l2_error, h1_seminorm
 from ellip1d.problems import psi_of
 
+from conftest import explicit_tail
 from golden_tables import (
     EXPONENT_CORRECTIONS,
     M_VALUES,
@@ -306,11 +308,33 @@ def test_criterion_07_theorem_bound():
     margins = {}
     for pid in ("ex1", "ex2", "ex3"):
         problem = builtin_problem(pid)
-        triples = theorem_bound_check(problem, 8, tol=1e-10)  # raises on violation
+        triples = theorem_bound_check(problem, 8)  # raises on violation
         margins[pid] = max(err / bound for _, err, bound in triples)
     announce(7, True, "H1 truncation error below series-tail bound for "
                       "M=1..8 on ex1-ex3; worst error/bound ratios "
              + ", ".join(f"{k} {v:.3f}" for k, v in margins.items()))
+
+
+def test_theorem_bound_errors_match_scipy_remainder():
+    # scipy quad (epsrel 1e-13, on 40 pieces: a quarter period of ex2's
+    # coefficient each) of (R_M(psi) flux)^2, with R_M an explicit fsum of the
+    # series tail, so no term cancels; the restated data, not the oracle
+    worst = 0.0
+    for pid in ("ex1", "ex2", "ex3", "ex4"):
+        kappa, flux = RESTATED[pid]
+        sample = lru_cache(maxsize=None)(lambda x: (math.log(kappa(x)), flux(x)))
+
+        def integrand(x, m):
+            psi, fx = sample(x)
+            return (explicit_tail(psi, m) * fx) ** 2
+
+        cuts = np.linspace(0.0, 1.0, 41)
+        for m, err, _ in theorem_bound_check(builtin_problem(pid), 12):
+            ref = math.sqrt(math.fsum(
+                quad(integrand, a, b, args=(m,), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(cuts[:-1], cuts[1:])))
+            worst = max(worst, abs(err - ref) / ref)
+    assert worst <= 1e-12, f"worst relative gap {worst:.2e}"
 
 
 def test_criterion_08_tail_sums():

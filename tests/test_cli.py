@@ -261,6 +261,24 @@ class TestUsageErrors:
         )
         assert code == 0
 
+    def test_table_sizes_the_fine_grid_cannot_nest_exit_two_before_any_work(
+            self, capsys, monkeypatch):
+        # ex4 is scored against a direct solve on FINE_GRID_ELEMS elements
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve ran before the nesting check")
+
+        monkeypatch.setattr(cli, "fem_solve", refuse)
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--problem", "ex4", "--N-list", f"7,16,30,{2 * FINE_GRID_ELEMS}"])
+        assert info.value.code == 2
+        assert f"does not nest N = 7, 30, {2 * FINE_GRID_ELEMS}" in capsys.readouterr().err
+
+    def test_table_sizes_off_the_fine_grid_run_with_a_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--problem", "ex1", "--method", "improved",
+                               "--N-list", "7,30", "--M-list", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
     def test_nonpositive_elements_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--problem", "ex1", "--N", "0", "--M", "1"])

@@ -1,7 +1,9 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import quad
 
 from ellip1d import (
@@ -25,9 +27,9 @@ from ellip1d.norms import (
     h1_seminorm,
     h1_seminorm_error,
 )
-from ellip1d.problems import g_m, psi_of
+from ellip1d.problems import flux_field, g_m, psi_of
 
-from conftest import field, unit_problem
+from conftest import explicit_tail, field, positive_problems, unit_problem
 
 
 def interpolant(fn, n):
@@ -181,7 +183,7 @@ class TestTailBound:
 
 class TestTheoremBound:
     def test_unit_coefficient_all_zero(self):
-        triples = theorem_bound_check(unit_problem(), 4, tol=1e-10)
+        triples = theorem_bound_check(unit_problem(), 4)
         for _, err, bound in triples:
             assert err <= 1e-9
             assert bound == 0.0 or bound <= 1e-20
@@ -189,7 +191,7 @@ class TestTheoremBound:
     @pytest.mark.parametrize("pid", ["ex1", "ex3"])
     def test_bound_holds_with_factorial_decay(self, pid, request):
         problem = request.getfixturevalue(pid)
-        triples = theorem_bound_check(problem, 8, tol=1e-10)
+        triples = theorem_bound_check(problem, 8)
         psi_sup = sup_norm(psi_of(problem.kappa), 1.0, 65536)
         assert len(triples) == 8
         for (m, err, bound), (_, nxt, _) in zip(triples, triples[1:]):
@@ -201,14 +203,14 @@ class TestTheoremBound:
         import ellip1d.norms as norms_mod
         monkeypatch.setattr(norms_mod, "tail_bound", lambda s, m: 0.0)
         with pytest.raises(BoundViolationError, match=r"M=1.*error.*bound"):
-            theorem_bound_check(ex1, 2, tol=1e-8)
+            theorem_bound_check(ex1, 2)
 
     def test_error_identity_consistency(self, ex1, ex3):
         # the H1 truncation error from the reciprocal-series gap must agree
         # with an independent quadrature of |u - U_M|_H1 built from the
         # closed-form derivative and the series weight
         for problem in (ex1, ex3):
-            triples = theorem_bound_check(problem, 3, tol=1e-10)
+            triples = theorem_bound_check(problem, 3)
             series = g_m(psi_of(problem.kappa), 3)
             flux_int = lambda x: quad(problem.f, x, 1.0, epsabs=1e-13)[0]
             integrand = lambda x: (
@@ -216,6 +218,27 @@ class TestTheoremBound:
             ) ** 2
             ref, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, limit=400)
             assert triples[-1][1] == pytest.approx(math.sqrt(ref), abs=1e-7)
+
+    # quad warns where epsrel 1e-13 is below what the rounding allows
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @settings(max_examples=15, deadline=None)
+    @given(positive_problems(max_n=1, psi_amp=0.5))
+    def test_errors_match_scipy_on_random_problems(self, drawn):
+        # scipy quad of the remainder integrand, with R_M as an explicit
+        # fsum of the tail and the flux from the oracle
+        problem, _ = drawn
+        psi, flux = psi_of(problem.kappa), flux_field(problem)
+        sample = lru_cache(maxsize=None)(lambda x: (psi(x), flux(x)))
+
+        def integrand(x, m):
+            p, fx = sample(x)
+            return (explicit_tail(p, m) * fx) ** 2
+
+        for m, err, bound in theorem_bound_check(problem, 6):
+            ref = quad(integrand, 0.0, problem.length, args=(m,), epsabs=0.0,
+                       epsrel=1e-13, limit=200)[0]
+            assert err == pytest.approx(math.sqrt(ref), rel=1e-10, abs=1e-300)
+            assert err <= bound
 
 
 class TestFineGridErrors:

@@ -10,11 +10,11 @@ from scipy.integrate import quad, quad_vec
 from ellip1d import builtin_problem, problems, constant_field, exact_solution_via_flux, g_m, psi_of
 from ellip1d.decompose import semi_analytic_U_M, solve_improved, solve_original
 from ellip1d.fem import QuadratureRule, build_mesh
-from ellip1d.integrate import AccuracyError
 from ellip1d.norms import ERROR_RULE, tail_bound
-from ellip1d.problems import BUILTIN_IDS, Problem, ScalarField, flux_field
+from ellip1d.problems import (BUILTIN_IDS, AccuracyError, Problem, ScalarField, flux_field,
+                              series_partial_sums, series_remainders)
 
-from conftest import field, positive_problems, unit_problem
+from conftest import explicit_tail, field, positive_problems, unit_problem
 
 ALL_IDS = ["ex1", "ex2", "ex3", "ex4"]
 
@@ -90,6 +90,33 @@ class TestTruncatedSeries:
         for m in (1, 2, 5):
             expected = sum(psi(xs) ** j / math.factorial(j) for j in range(m + 1))
             np.testing.assert_allclose(g_m(neg_psi, m)(xs), expected, atol=1e-13)
+
+
+class TestSeriesRemainders:
+    def test_matches_explicit_tail(self):
+        # the recurrence rounds term j about 2j times, so the error grows
+        # slowly with m: over 2000 draws, the worst at any m <= 64 was 8.7 eps
+        psi = np.random.default_rng(22).uniform(-3.0, 3.0, 120)
+        remainders = series_remainders(psi, range(65))
+        for m, values in remainders.items():
+            expected = np.array([explicit_tail(p, m) for p in psi])
+            np.testing.assert_allclose(values, expected, rtol=16 * np.finfo(float).eps, atol=0)
+
+    def test_completes_partial_sums(self):
+        # G_m + R_m = e^-psi for every m, with no cancellation inside R_m
+        psi = np.linspace(-2.0, 2.0, 41)
+        orders = [0, 1, 4, 9, 30]
+        sums, tails = series_partial_sums(psi, orders), series_remainders(psi, orders)
+        for m in orders:
+            np.testing.assert_allclose(sums[m] + tails[m], np.exp(-psi), rtol=1e-14)
+
+    def test_zero_log_coefficient_gives_zero(self):
+        tails = series_remainders(np.zeros(3), [1, 5])
+        assert all(np.array_equal(t, np.zeros(3)) for t in tails.values())
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            series_remainders(np.ones(2), [2, -1])
 
 
 class TestBuiltins:
@@ -210,7 +237,7 @@ class TestFluxOracle:
             u(np.array([[0.5, 0.2], [-1e-9, 0.7]]))
 
     def test_flux_field_matches_quadrature(self, ex3):
-        flux = flux_field(ex3, tol=1e-11)
+        flux = flux_field(ex3)
         for x in (0.0, 0.3, 0.99):
             ref, _ = quad(ex3.f, x, 1.0, epsabs=1e-13)
             assert flux(x) == pytest.approx(ref, abs=1e-10)
@@ -304,8 +331,7 @@ class TestChebyshevOracle:
 
     def test_rejects_nonpositive_tolerance(self, ex1):
         for build in (lambda: exact_solution_via_flux(ex1, 0.0),
-                      lambda: semi_analytic_U_M(ex1, 2, -1e-9),
-                      lambda: flux_field(ex1, 0.0)):
+                      lambda: semi_analytic_U_M(ex1, 2, -1e-9)):
             with pytest.raises(ValueError, match="tolerance"):
                 build()
 
