@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .decompose import Method, semi_analytic_U_M, solve_improved, solve_original
-from .fem import QuadratureRule, fem_solve
+from .fem import ASSEMBLY_RULE, fem_solve
 from .norms import field_errors
 from .problems import Problem, exact_solution_via_flux
 
@@ -64,14 +64,8 @@ def _timed(fn, reps: int):
     return result, int(statistics.median(times))
 
 
-def run_benchmark(
-    problem: Problem,
-    n_elems: int,
-    truncation: int,
-    reps: int,
-    quad_points: int = 3,
-) -> BenchReport:
-    """Time all three methods on one (N, M) configuration.
+def run_benchmark(problem: Problem, n_elems: int, truncation: int, reps: int) -> BenchReport:
+    """Time all three methods on one (N, M) configuration, assembled with ASSEMBLY_RULE.
 
     The decomposition methods are scored against the mesh-free truncated
     approximation of the same order; the direct solve against the
@@ -84,23 +78,21 @@ def run_benchmark(
     """
     if reps < 3:
         raise ValueError(f"need at least 3 repetitions, got {reps}")
-    rule = QuadratureRule.gauss(quad_points)
     truncated_ref = semi_analytic_U_M(problem, truncation, ORACLE_TOL)
     full_ref = exact_solution_via_flux(problem, ORACLE_TOL)
 
     original, orig_ns = _timed(
-        lambda: solve_original(problem, n_elems, truncation, rule), reps
+        lambda: solve_original(problem, n_elems, truncation, ASSEMBLY_RULE), reps
     )
     improved, impr_ns = _timed(
-        lambda: solve_improved(problem, n_elems, truncation, rule), reps
+        lambda: solve_improved(problem, n_elems, truncation, ASSEMBLY_RULE), reps
     )
-    direct, direct_ns = _timed(lambda: fem_solve(problem, n_elems, rule), reps)
+    direct, direct_ns = _timed(lambda: fem_solve(problem, n_elems, ASSEMBLY_RULE), reps)
 
     # both decomposition rows share one sampling of the truncated reference
     (orig_l2, _), (impr_l2, _) = field_errors(
-        direct.mesh, [original.U_M, improved.U_M], truncated_ref,
-        truncated_ref.derivative)
-    [(direct_l2, _)] = field_errors(direct.mesh, [direct], full_ref, full_ref.derivative)
+        direct.mesh, [original.U_M, improved.U_M], truncated_ref)
+    [(direct_l2, _)] = field_errors(direct.mesh, [direct], full_ref)
     methods = {
         Method.ORIGINAL: MethodStats(original.solve_count, original.assembly_count,
                                      original.factorization_count, orig_ns, orig_l2),

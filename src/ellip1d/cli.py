@@ -26,7 +26,7 @@ from .decompose import (
     solve_original,
     truncated_sum,
 )
-from .fem import QuadratureRule, fem_solve
+from .fem import ASSEMBLY_RULE, fem_solve
 from .norms import (
     PSI_SUP_SAMPLES,
     BoundViolationError,
@@ -132,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, n_default=None, m_default=None, m_type=_ORDER):
         p.add_argument("--problem", choices=BUILTIN_IDS, default="ex1")
-        p.add_argument("--quad", type=int, choices=(2, 3, 4, 5), default=3,
-                       help="Gauss points per element for assembly")
         p.add_argument("--format", choices=("csv", "text"), default="csv")
         p.add_argument("--out", default=None, help="output path; stdout if omitted")
         if n_default is not None:
@@ -164,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", formatter_class=formatter,
                        help="run the numeric property suites")
-    common(p)
+    p.add_argument("--problem", choices=BUILTIN_IDS, default="ex1")
+    p.add_argument("--out", default=None, help="output path; stdout if omitted")
     p.add_argument("--M-list", type=_M_LIST, default=list(range(1, 9)),
                    dest="m_list")
     p.add_argument("--suite", choices=VERIFY_SUITES, default=None,
@@ -181,11 +180,11 @@ def _emit(lines: list[str], out_path: str | None) -> None:
             fh.write(text)
 
 
-def _run_method(problem, method: Method, n_elems: int, truncation: int, rule):
+def _run_method(problem, method: Method, n_elems: int, truncation: int):
     if method is Method.DIRECT:
-        return fem_solve(problem, n_elems, rule)
+        return fem_solve(problem, n_elems, ASSEMBLY_RULE)
     solver = solve_original if method is Method.ORIGINAL else solve_improved
-    return solver(problem, n_elems, truncation, rule).U_M
+    return solver(problem, n_elems, truncation, ASSEMBLY_RULE).U_M
 
 
 def _report_row(report: ErrorReport, fmt: str) -> str:
@@ -203,11 +202,8 @@ def _report_row(report: ErrorReport, fmt: str) -> str:
 
 def cmd_solve(args) -> list[str]:
     problem = builtin_problem(args.problem)
-    rule = QuadratureRule.gauss(args.quad)
-    approx = _run_method(problem, Method(args.method), args.n_elems,
-                         args.truncation, rule)
-    [(l2, h1)] = field_errors(approx.mesh, [approx], problem.exact,
-                              problem.exact_derivative)
+    approx = _run_method(problem, Method(args.method), args.n_elems, args.truncation)
+    [(l2, h1)] = field_errors(approx.mesh, [approx], problem.exact)
     reference = Reference.CLOSED_FORM if problem.closed_form else Reference.FLUX_ORACLE
     report = ErrorReport(problem=problem.name, method=args.method, n_elems=args.n_elems,
                          truncation=args.truncation, l2_error=l2, h1_error=h1,
@@ -217,7 +213,7 @@ def cmd_solve(args) -> list[str]:
     return lines
 
 
-def table_reports(problem, method: Method, n_list, m_list, rule) -> list[ErrorReport]:
+def table_reports(problem, method: Method, n_list, m_list) -> list[ErrorReport]:
     """Error grid in row-major (N outer, M inner) order.
 
     Each row (one N) builds one mesh and one u_0: the direct solve ignores M
@@ -228,21 +224,21 @@ def table_reports(problem, method: Method, n_list, m_list, rule) -> list[ErrorRe
     Problems without a closed form are scored against a direct solve on a
     fine nested mesh, the coarse solution being interpolated onto it.
     """
-    fine = None if problem.closed_form else fem_solve(problem, FINE_GRID_ELEMS, rule)
+    fine = (None if problem.closed_form
+            else fem_solve(problem, FINE_GRID_ELEMS, ASSEMBLY_RULE))
     reference = Reference.CLOSED_FORM if fine is None else Reference.FINE_GRID
     orders = sorted(set(m_list))
     reports = []
     for n in n_list:
         if method is Method.DIRECT:
-            row = [fem_solve(problem, n, rule)]
+            row = [fem_solve(problem, n, ASSEMBLY_RULE)]
         elif method is Method.ORIGINAL:
-            result = solve_original(problem, n, orders[-1], rule)
+            result = solve_original(problem, n, orders[-1], ASSEMBLY_RULE)
             row = [truncated_sum(result.u0, result.terms[:m]) for m in orders]
         else:
-            _, row = solve_improved_orders(problem, n, orders, rule)
+            _, row = solve_improved_orders(problem, n, orders, ASSEMBLY_RULE)
         if fine is None:
-            scores = field_errors(row[0].mesh, row, problem.exact,
-                                  problem.exact_derivative)
+            scores = field_errors(row[0].mesh, row, problem.exact)
         else:
             scores = [(fine_grid_l2_error(v, fine), fine_grid_h1_error(v, fine))
                       for v in row]
@@ -258,9 +254,7 @@ def table_reports(problem, method: Method, n_list, m_list, rule) -> list[ErrorRe
 
 def cmd_table(args) -> list[str]:
     problem = builtin_problem(args.problem)
-    rule = QuadratureRule.gauss(args.quad)
-    reports = table_reports(problem, Method(args.method), args.n_list,
-                            args.m_list, rule)
+    reports = table_reports(problem, Method(args.method), args.n_list, args.m_list)
     if args.format == "csv":
         return [REPORT_CSV_HEADER] + [_report_row(r, "csv") for r in reports]
 
@@ -276,8 +270,7 @@ def cmd_table(args) -> list[str]:
 
 def cmd_bench(args) -> list[str]:
     problem = builtin_problem(args.problem)
-    report = run_benchmark(problem, args.n_elems, args.truncation, args.reps,
-                           quad_points=args.quad)
+    report = run_benchmark(problem, args.n_elems, args.truncation, args.reps)
     if args.format == "csv":
         return [BENCH_CSV_HEADER] + report.csv_rows()
     lines = [f"benchmark, problem {problem.name}, N={args.n_elems}, M={args.truncation}"]
@@ -312,18 +305,16 @@ def _suite_theorem_bound(problem, m_list):
 
 
 def _suite_equivalence(problem, m_list):
-    rule = QuadratureRule.gauss(3)
     n = 2**7
-    a = solve_original(problem, n, 1, rule)
-    b = solve_improved(problem, n, 1, rule)
+    a = solve_original(problem, n, 1, ASSEMBLY_RULE)
+    b = solve_improved(problem, n, 1, ASSEMBLY_RULE)
     gap = float(abs(a.U_M.values - b.U_M.values).max())
     ok = gap <= 1e-12
     return ok, [f"M=1 max nodal |improved - original| = {gap:.3e} at N={n}"]
 
 
 def _suite_factorial_decay(problem, m_list):
-    rule = QuadratureRule.gauss(3)
-    result = solve_original(problem, 2**9, 6, rule)
+    result = solve_original(problem, 2**9, 6, ASSEMBLY_RULE)
     psi_sup = sup_norm(psi_of(problem.kappa), problem.length, PSI_SUP_SAMPLES)
     u0_h1 = h1_seminorm(result.u0)
     lines, ok = [], True
@@ -337,11 +328,9 @@ def _suite_factorial_decay(problem, m_list):
 
 
 def _suite_convergence_order(problem, m_list):
-    rule = QuadratureRule.gauss(3)
     n_values = [2**k for k in range(5, 12)]
-    solutions = [fem_solve(problem, n, rule) for n in n_values]
-    errors = [field_errors(u.mesh, [u], problem.exact, problem.exact_derivative)[0][0]
-              for u in solutions]
+    solutions = [fem_solve(problem, n, ASSEMBLY_RULE) for n in n_values]
+    errors = [field_errors(u.mesh, [u], problem.exact)[0][0] for u in solutions]
     order = observed_order(n_values, errors)
     ok = 1.9 <= order <= 2.1
     return ok, [f"direct-solve L2 order {order:.3f} over N={n_values[0]}..{n_values[-1]}"]
@@ -387,16 +376,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             lines, ok = cmd_verify(args)
-            _emit(lines, args.out)
-            return 0 if ok else 1
-        lines = {"solve": cmd_solve, "table": cmd_table, "bench": cmd_bench}[
-            args.command
-        ](args)
+        else:
+            command = {"solve": cmd_solve, "table": cmd_table, "bench": cmd_bench}
+            lines, ok = command[args.command](args), True
     except (ValueError, ArithmeticError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(lines, args.out)
-    return 0
+    try:
+        _emit(lines, args.out)
+    except OSError as exc:  # an unwritable --out is a usage error
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0 if ok else 1
 
 
 def run() -> None:

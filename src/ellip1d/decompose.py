@@ -51,6 +51,7 @@ from .fem import (
 from .problems import (
     Problem,
     ScalarField,
+    exp_series_terms,
     flux_weighted_antiderivative,
     g_m,
     psi_of,
@@ -125,14 +126,14 @@ def solve_original(
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
     u0, _ = _u0_and_flux(problem, n_elems, rule)
-    psi_vals = psi_of(problem.kappa)(u0.mesh.element_points(rule))
-    power = np.ones_like(psi_vals)  # psi^j / j! at the quadrature points
+    # psi^j / j! at the quadrature points; mu_j needs them from j = 1 on
+    powers = exp_series_terms(psi_of(problem.kappa)(u0.mesh.element_points(rule)))
+    next(powers)
     moments: list[np.ndarray] = []  # mu_1 ... mu_m
     slopes = [u0.derivative_values()]  # u_0' ... u_{m-1}'
     terms: list[NodalFunction] = []
     for m in range(1, truncation + 1):
-        power = power * psi_vals / m
-        moments.append(power @ rule.weights)
+        moments.append(next(powers) @ rule.weights)
         flux = np.zeros(n_elems)
         for mu, slope in zip(moments, reversed(slopes)):  # mu_j u_{m-j}', j = 1..m
             flux -= mu * slope

@@ -45,6 +45,7 @@ __all__ = [
     "SingularSystemError",
     "Mesh",
     "QuadratureRule",
+    "ASSEMBLY_RULE",
     "NodalFunction",
     "TridiagonalSystem",
     "TridiagonalFactorization",
@@ -122,6 +123,10 @@ class QuadratureRule:
             raise ValueError(f"supported rules have 2..5 points, got {n_points}")
         x, w = np.polynomial.legendre.leggauss(n_points)
         return cls(n_points=n_points, points=0.5 * (x + 1.0), weights=0.5 * w)
+
+
+# 3-point Gauss rule the CLI and the benchmark assemble every system with
+ASSEMBLY_RULE = QuadratureRule.gauss(3)
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,17 +73,15 @@ def _rms(diff: np.ndarray, h: float, rule: QuadratureRule) -> float:
     return float(np.sqrt(h * np.sum((diff * diff) @ rule.weights)))
 
 
-def field_errors(
-    mesh: Mesh, functions, reference: ScalarField, reference_derivative: ScalarField
-) -> list[tuple[float, float]]:
+def field_errors(mesh: Mesh, functions, reference: ScalarField) -> list[tuple[float, float]]:
     """(L2, H1-seminorm) error of each nodal function on mesh against a reference.
 
-    The reference and its derivative are sampled once, at mesh's ERROR_RULE
-    points, for all the functions. A caller that needs only the L2 values
-    still pays for the one derivative evaluation.
+    The reference and the field it carries as .derivative are sampled once,
+    at mesh's ERROR_RULE points, for all the functions. A caller that needs
+    only the L2 values still pays for the one derivative evaluation.
     """
     pts = mesh.element_points(ERROR_RULE)
-    values, slopes = reference(pts), reference_derivative(pts)
+    values, slopes = reference(pts), reference.derivative(pts)
     if not all(v.mesh.same_as(mesh) for v in functions):
         raise ValueError(f"nodal functions must live on the {mesh.n_elems}-element mesh")
     return [(_rms(v.at_quadrature(ERROR_RULE) - values, mesh.h, ERROR_RULE),

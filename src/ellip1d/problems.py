@@ -24,6 +24,7 @@ decomposition methods.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -92,6 +93,8 @@ _VALIDATION_SAMPLES = 65536
 class Problem:
     """One boundary-value problem instance, optionally with a reference solution.
 
+    exact carries its own derivative as exact.derivative, which the error
+    norms score slopes against; both are checked against the boundary data.
     closed_form says whether exact is a closed-form solution; if not, exact
     is the flux oracle, and error tables score against a fine-grid solve.
     """
@@ -103,9 +106,7 @@ class Problem:
     alpha: float
     beta: float
     exact: ScalarField | None = None
-    exact_derivative: ScalarField | None = None
     closed_form: bool = False
-    kappa_min: float = dataclasses.field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.length <= 0:
@@ -120,7 +121,6 @@ class Problem:
                 f"{self.name}: coefficient must be strictly positive, "
                 f"sampled minimum {kmin}"
             )
-        object.__setattr__(self, "kappa_min", kmin)
 
         if self.exact is not None:
             mismatch = abs(self.exact(0.0) - self.alpha)
@@ -128,8 +128,8 @@ class Problem:
                 raise ValueError(
                     f"{self.name}: exact(0) differs from alpha by {mismatch:.3e}"
                 )
-        if self.exact_derivative is not None:
-            flux_end = -self.kappa(self.length) * self.exact_derivative(self.length)
+        if self.exact is not None and self.exact.derivative is not None:
+            flux_end = -self.kappa(self.length) * self.exact.derivative(self.length)
             if abs(flux_end - self.beta) > 1e-8:
                 raise ValueError(
                     f"{self.name}: boundary flux of the exact solution is "
@@ -150,23 +150,31 @@ def psi_of(kappa: ScalarField) -> ScalarField:
     return ScalarField(fn, f"log({kappa.description or 'coefficient'})")
 
 
+def exp_series_terms(x: np.ndarray):
+    """x^j / j! for j = 0, 1, 2, ..., each term from the last as term * x / j.
+
+    No term touches an explicit factorial, so any order stays finite.
+    """
+    term = np.ones_like(x)
+    for j in itertools.count(1):
+        yield term
+        term = term * x / j
+
+
 def series_partial_sums(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
     """G_m = sum_{j=0}^m (-psi)^j / j! at psi_values, for every m in orders.
 
-    One pass of the recurrence up to max(orders), keyed by order. Terms are
-    accumulated multiplicatively (term_j = term_{j-1} * (-psi) / j), so large
-    m never touches an explicit factorial, and each G_m is the same array
-    whichever other orders share the pass.
+    One pass over exp_series_terms(-psi) up to max(orders), keyed by order;
+    each G_m is the same array whichever other orders share the pass.
     """
     wanted = set(orders)
     if min(wanted) < 0:
         raise ValueError(f"truncation order must be nonnegative, got {min(wanted)}")
-    total = np.ones_like(psi_values)
-    term = np.ones_like(psi_values)
+    terms = exp_series_terms(-np.asarray(psi_values, dtype=float))
+    total = next(terms)
     sums = {0: total} if 0 in wanted else {}
     for j in range(1, max(wanted) + 1):
-        term = term * (-psi_values) / j
-        total = total + term
+        total = total + next(terms)
         if j in wanted:
             sums[j] = total
     return sums
@@ -175,22 +183,21 @@ def series_partial_sums(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]
 def series_remainders(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
     """R_m = e^-psi - G_m = sum_{j>m} (-psi)^j / j! at psi_values, for every m in orders.
 
-    The terms come from the recurrence of series_partial_sums, continued
-    until each is below eps/8 of |(-psi)^(m+1) / (m+1)!| e^-max(psi, 0), the
-    Lagrange lower bound of |R_m|, for every wanted m. They are summed from
-    the smallest up, so no R_m is a difference of O(1) values.
+    The terms come from exp_series_terms(-psi), continued until each is
+    below eps/8 of |(-psi)^(m+1) / (m+1)!| e^-max(psi, 0), the Lagrange lower
+    bound of |R_m|, for every wanted m. They are summed from the smallest up,
+    so no R_m is a difference of O(1) values.
     """
     wanted = set(orders)
     if min(wanted) < 0:
         raise ValueError(f"truncation order must be nonnegative, got {min(wanted)}")
     neg = -np.asarray(psi_values, dtype=float)
-    terms = [np.ones_like(neg)]
-    for j in range(1, max(wanted) + 2):
-        terms.append(terms[-1] * neg / j)
+    series = exp_series_terms(neg)
+    terms = [next(series) for _ in range(max(wanted) + 2)]
     leads = np.min(np.abs([terms[m + 1] for m in wanted]), axis=0)
     floor = _EPS / 8 * np.exp(np.minimum(neg, 0.0)) * leads
     while np.any(np.abs(terms[-1]) > floor):
-        terms.append(terms[-1] * neg / len(terms))
+        terms.append(next(series))
     tails = np.cumsum(terms[:0:-1], axis=0)[::-1]  # tails[m] = sum_{j>m} t_j
     return {m: tails[m] for m in wanted}
 
@@ -404,7 +411,7 @@ def _ex1() -> Problem:
     )
     return Problem(
         name="ex1", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
-        exact=exact, exact_derivative=exact_d, closed_form=True,
+        exact=exact, closed_form=True,
     )
 
 
@@ -429,7 +436,7 @@ def _ex2() -> Problem:
     exact = ScalarField(u, "oscillatory closed form", derivative=exact_d)
     return Problem(
         name="ex2", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
-        exact=exact, exact_derivative=exact_d, closed_form=True,
+        exact=exact, closed_form=True,
     )
 
 
@@ -448,7 +455,7 @@ def _ex3() -> Problem:
     )
     return Problem(
         name="ex3", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
-        exact=exact, exact_derivative=exact_d, closed_form=True,
+        exact=exact, closed_form=True,
     )
 
 
@@ -469,7 +476,7 @@ def _ex4() -> Problem:
     exact = dataclasses.replace(exact, derivative=exact_d)
     return Problem(
         name="ex4", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
-        exact=exact, exact_derivative=exact_d, closed_form=False,
+        exact=exact, closed_form=False,
     )
 
 

@@ -66,9 +66,9 @@ def unit_problem(f=None, alpha=0.0, beta=0.0, name="unit"):
     )
 
 
-def field(fn, description=""):
+def field(fn, description="", derivative=None):
     return ScalarField(lambda x: np.broadcast_to(np.asarray(fn(x), float), x.shape),
-                       description)
+                       description, derivative)
 
 
 def _trig(c, length):

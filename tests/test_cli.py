@@ -160,7 +160,7 @@ class TestTableRowsFromOneRun:
         # the fine-grid reference needs nested meshes; closed forms take any N
         n_list = [16, 8, 16] if fine is not None else [16, 7, 30, 100, 8, 30]
         m_list = [6, 2, 6, 3]
-        reports = table_reports(problem, method, n_list, m_list, rule)
+        reports = table_reports(problem, method, n_list, m_list)
         assert [(r.n_elems, r.truncation) for r in reports] == [
             (n, m) for n in n_list for m in m_list]
         for r in reports:
@@ -171,7 +171,7 @@ class TestTableRowsFromOneRun:
                 approx = solver(problem, r.n_elems, r.truncation, rule).U_M
             if fine is None:
                 expected = (l2_error(approx, problem.exact, ERROR_RULE),
-                            h1_seminorm_error(approx, problem.exact_derivative, ERROR_RULE))
+                            h1_seminorm_error(approx, problem.exact.derivative, ERROR_RULE))
             else:
                 expected = (fine_grid_l2_error(approx, fine),
                             fine_grid_h1_error(approx, fine))
@@ -279,6 +279,15 @@ class TestUsageErrors:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize("out", [lambda d: d / "missing" / "x.csv", lambda d: d],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_one_line_usage_error(self, out, tmp_path, capsys):
+        code, stdout, err = run_cli(capsys, "solve", "--N", "8", "--out", str(out(tmp_path)))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write --out {out(tmp_path)}: ")
+        assert err.count("\n") == 1
+
     def test_nonpositive_elements_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--problem", "ex1", "--N", "0", "--M", "1"])
@@ -291,6 +300,12 @@ class TestUsageErrors:
             ["bench", "--M", "0"],
             ["solve", "--method", "direct", "--M", "-1"],
             ["solve", "--method", "direct", "--N", "-3"],
+            # assembly always uses fem.ASSEMBLY_RULE, and verify prints text only
+            ["solve", "--quad", "3"],
+            ["table", "--quad", "3"],
+            ["bench", "--quad", "3"],
+            ["verify", "--quad", "3"],
+            ["verify", "--format", "csv"],
         ],
     )
     def test_sizes_below_limits_exit_two_before_any_work(self, argv, monkeypatch):

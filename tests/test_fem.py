@@ -375,8 +375,7 @@ def manufactured():
         f=field(lam(f_s)),
         alpha=0.7,
         beta=float(-flux_s.subs(x, 1)),
-        exact=field(lam(u_s)),
-        exact_derivative=field(lam(sp.diff(u_s, x))),
+        exact=field(lam(u_s), derivative=field(lam(sp.diff(u_s, x)))),
     )
 
 

@@ -96,25 +96,24 @@ class TestFieldErrors:
             solve_improved(problem, n, m, rule3).U_M for m in (1, 2, 5)]
         solutions.append(NodalFunction(solutions[0].mesh, rng.normal(size=n + 1)))
         mesh = solutions[0].mesh
-        together = field_errors(mesh, solutions, problem.exact, problem.exact_derivative)
-        alone = [field_errors(mesh, [v], problem.exact, problem.exact_derivative)[0]
-                 for v in solutions]
+        together = field_errors(mesh, solutions, problem.exact)
+        alone = [field_errors(mesh, [v], problem.exact)[0] for v in solutions]
         assert together == alone
         assert together == [
             (l2_error(v, problem.exact, ERROR_RULE),
-             h1_seminorm_error(v, problem.exact_derivative, ERROR_RULE))
+             h1_seminorm_error(v, problem.exact.derivative, ERROR_RULE))
             for v in solutions]
 
     def test_reference_sampled_once_for_all_functions(self):
         calls = []
 
-        def counted(fn):
-            return field(lambda x: calls.append(x.shape) or fn(x))
+        def counted(fn, derivative=None):
+            return field(lambda x: calls.append(x.shape) or fn(x), derivative=derivative)
 
         mesh = build_mesh(1.0, 10)
         functions = [NodalFunction(mesh, np.full(11, c)) for c in (0.0, 1.0, 2.0)]
-        scores = field_errors(mesh, functions, counted(lambda x: 0.0 * x),
-                              counted(lambda x: 0.0 * x))
+        reference = counted(lambda x: 0.0 * x, derivative=counted(lambda x: 0.0 * x))
+        scores = field_errors(mesh, functions, reference)
         assert calls == [(10, ERROR_RULE.n_points)] * 2
         assert [l2 for l2, _ in scores] == pytest.approx([0.0, 1.0, 2.0], abs=1e-15)
         assert [h1 for _, h1 in scores] == [0.0, 0.0, 0.0]
@@ -122,7 +121,7 @@ class TestFieldErrors:
     def test_rejects_function_on_other_mesh(self):
         with pytest.raises(ValueError, match="4-element mesh"):
             field_errors(build_mesh(1.0, 4), [interpolant(lambda x: x, 8)],
-                         constant_field(0.0), constant_field(0.0))
+                         constant_field(0.0))
 
 
 class TestH1Seminorm:
@@ -214,7 +213,7 @@ class TestTheoremBound:
             series = g_m(psi_of(problem.kappa), 3)
             flux_int = lambda x: quad(problem.f, x, 1.0, epsabs=1e-13)[0]
             integrand = lambda x: (
-                problem.exact_derivative(x) - series(x) * flux_int(x)
+                problem.exact.derivative(x) - series(x) * flux_int(x)
             ) ** 2
             ref, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, limit=400)
             assert triples[-1][1] == pytest.approx(math.sqrt(ref), abs=1e-7)

@@ -45,7 +45,7 @@ class TestPsi:
         dip = field(lambda x: np.where(np.abs(x - 1.0 / 6.0) < 1e-6, -1.0, 1.0))
         problem = Problem(name="dip", length=1.0, kappa=dip, f=constant_field(1.0),
                           alpha=0.0, beta=0.0)
-        assert problem.kappa_min == 1.0
+        assert np.min(dip(np.linspace(0.0, 1.0, 65537))) == 1.0
         with pytest.raises(ValueError, match=r"not positive at x = 0\.16666"):
             solve(problem, 3, 2, QuadratureRule.gauss(3))
 
@@ -141,7 +141,7 @@ class TestBuiltins:
     def test_common_data(self, pid, request):
         p = request.getfixturevalue(pid)
         assert (p.length, p.alpha, p.beta) == (1.0, 0.0, 0.0)
-        assert p.kappa_min > 0.0
+        assert np.min(p.kappa(np.linspace(0.0, 1.0, 65537))) > 0.0
 
     @pytest.mark.parametrize("pid", ALL_IDS)
     def test_log_roundtrip(self, pid, request):
@@ -165,7 +165,11 @@ class TestBuiltins:
     def test_ex4_exact_is_flux_oracle(self, ex4):
         xs = np.linspace(0.0, 1.0, 257)
         np.testing.assert_array_equal(ex4.exact(xs), exact_solution_via_flux(ex4, 1e-10)(xs))
-        assert ex4.exact.derivative is ex4.exact_derivative
+        # the oracle carries the closed-form u' = flux / kappa, not its own integrand
+        assert ex4.exact.derivative.description == "2 sin(pi x)/(pi (x^4 + exp(-x)))"
+        np.testing.assert_allclose(ex4.exact.derivative(xs),
+                                   2.0 * np.sin(np.pi * xs) / (np.pi * ex4.kappa(xs)),
+                                   rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3"])
     def test_flux_identity_of_exact_solution(self, pid, request):
@@ -173,7 +177,7 @@ class TestBuiltins:
         p = request.getfixturevalue(pid)
         for x in np.linspace(0.0, 1.0, 21):
             flux_int, _ = quad(p.f, x, 1.0, epsabs=1e-12, limit=200)
-            lhs = p.kappa(x) * p.exact_derivative(x)
+            lhs = p.kappa(x) * p.exact.derivative(x)
             assert lhs == pytest.approx(-p.beta + flux_int, abs=1e-8)
 
 
@@ -193,8 +197,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="flux"):
             Problem(name="bad", length=1.0, kappa=constant_field(1.0),
                     f=constant_field(0.0), alpha=0.0, beta=0.0,
-                    exact=field(lambda x: x),
-                    exact_derivative=constant_field(1.0))
+                    exact=field(lambda x: x, derivative=constant_field(1.0)))
 
 
 class TestFluxOracle:
@@ -226,7 +229,7 @@ class TestFluxOracle:
         u = exact_solution_via_flux(ex1, tol=1e-10)
         xs = np.linspace(0.0, 1.0, 50)
         np.testing.assert_allclose(
-            u.derivative(xs), ex1.exact_derivative(xs), atol=1e-9
+            u.derivative(xs), ex1.exact.derivative(xs), atol=1e-9
         )
 
     def test_rejects_points_outside_domain(self, ex1):
@@ -421,7 +424,7 @@ class TestOracleLayout:
     @pytest.mark.parametrize("pid", ALL_IDS)
     def test_exact_fields(self, pid, request):
         problem = request.getfixturevalue(pid)
-        for fld in (problem.exact, problem.exact_derivative):
+        for fld in (problem.exact, problem.exact.derivative):
             self.assert_layout_free(fld, 300)
 
     @pytest.mark.parametrize("m", [1, 6, 12])
