@@ -200,8 +200,7 @@ def _report_row(report: ErrorReport, fmt: str) -> str:
     )
 
 
-def cmd_solve(args) -> list[str]:
-    problem = builtin_problem(args.problem)
+def cmd_solve(args, problem) -> list[str]:
     approx = _run_method(problem, Method(args.method), args.n_elems, args.truncation)
     [(l2, h1)] = field_errors(approx.mesh, [approx], problem.exact)
     reference = Reference.CLOSED_FORM if problem.closed_form else Reference.FLUX_ORACLE
@@ -252,8 +251,7 @@ def table_reports(problem, method: Method, n_list, m_list) -> list[ErrorReport]:
     return reports
 
 
-def cmd_table(args) -> list[str]:
-    problem = builtin_problem(args.problem)
+def cmd_table(args, problem) -> list[str]:
     reports = table_reports(problem, Method(args.method), args.n_list, args.m_list)
     if args.format == "csv":
         return [REPORT_CSV_HEADER] + [_report_row(r, "csv") for r in reports]
@@ -268,8 +266,7 @@ def cmd_table(args) -> list[str]:
     return lines
 
 
-def cmd_bench(args) -> list[str]:
-    problem = builtin_problem(args.problem)
+def cmd_bench(args, problem) -> list[str]:
     report = run_benchmark(problem, args.n_elems, args.truncation, args.reps)
     if args.format == "csv":
         return [BENCH_CSV_HEADER] + report.csv_rows()
@@ -346,8 +343,7 @@ _SUITES = {
 VERIFY_SUITES = tuple(_SUITES)
 
 
-def cmd_verify(args) -> tuple[list[str], bool]:
-    problem = builtin_problem(args.problem)
+def cmd_verify(args, problem) -> tuple[list[str], bool]:
     names = [args.suite] if args.suite else list(VERIFY_SUITES)
     lines, all_ok = [], True
     for name in names:
@@ -368,17 +364,19 @@ def main(argv=None) -> int:
     if (args.command == "solve" and args.method != Method.DIRECT.value
             and args.truncation < 1):
         parser.error(f"{args.method} method requires truncation >= 1")
+    # built once: the subcommand runs on this object
+    problem = builtin_problem(args.problem)
     if args.command == "table":
         loose = [str(n) for n in args.n_list if FINE_GRID_ELEMS % n]
-        if loose and not builtin_problem(args.problem).closed_form:
+        if loose and not problem.closed_form:
             parser.error(f"argument --N-list: the {FINE_GRID_ELEMS}-element fine grid of "
                          f"{args.problem} does not nest N = {', '.join(loose)}")
     try:
         if args.command == "verify":
-            lines, ok = cmd_verify(args)
+            lines, ok = cmd_verify(args, problem)
         else:
             command = {"solve": cmd_solve, "table": cmd_table, "bench": cmd_bench}
-            lines, ok = command[args.command](args), True
+            lines, ok = command[args.command](args, problem), True
     except (ValueError, ArithmeticError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

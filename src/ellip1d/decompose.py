@@ -45,6 +45,7 @@ from .fem import (
     QuadratureRule,
     assemble_load,
     build_mesh,
+    element_blocks,
     flux_sweep,
     load_flux,
 )
@@ -126,19 +127,22 @@ def solve_original(
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
     u0, _ = _u0_and_flux(problem, n_elems, rule)
-    # psi^j / j! at the quadrature points; mu_j needs them from j = 1 on
-    powers = exp_series_terms(psi_of(problem.kappa)(u0.mesh.element_points(rule)))
-    next(powers)
-    moments: list[np.ndarray] = []  # mu_1 ... mu_m
-    slopes = [u0.derivative_values()]  # u_0' ... u_{m-1}'
-    terms: list[NodalFunction] = []
-    for m in range(1, truncation + 1):
-        moments.append(next(powers) @ rule.weights)
-        flux = np.zeros(n_elems)
-        for mu, slope in zip(moments, reversed(slopes)):  # mu_j u_{m-j}', j = 1..m
-            flux -= mu * slope
-        terms.append(flux_sweep(u0.mesh, flux, 1.0, 0.0))
-        slopes.append(flux)  # a sweep with weight 1 has slope flux
+    psi = psi_of(problem.kappa)
+    # row j: u_j', and from j = 1 on the flux c_j that u_j is swept from
+    slopes = np.zeros((truncation + 1, n_elems))
+    slopes[0] = u0.derivative_values()
+    for elems, pts in element_blocks(u0.mesh, rule):
+        # psi^j / j! at the block's quadrature points; mu_j needs them from j = 1 on
+        powers = exp_series_terms(psi(pts))
+        next(powers)
+        moments: list[np.ndarray] = []  # mu_1 ... mu_m on the block
+        for m in range(1, truncation + 1):
+            moments.append(next(powers) @ rule.weights)
+            flux = slopes[m, elems]
+            for mu, slope in zip(moments, slopes[m - 1::-1, elems]):  # mu_j u_{m-j}'
+                flux -= mu * slope
+    # a sweep with weight 1 has slope flux
+    terms = [flux_sweep(u0.mesh, flux, 1.0, 0.0) for flux in slopes[1:]]
 
     return DecompositionResult(
         u0=u0,
@@ -156,7 +160,10 @@ def truncated_sum(u0: NodalFunction, terms) -> NodalFunction:
     A run to order M and the first m terms of a longer run give the same
     U_m bit for bit, since term m never depends on later terms.
     """
-    return NodalFunction(u0.mesh, u0.values + np.sum([t.values for t in terms], axis=0))
+    total = np.zeros(len(u0.values))
+    for t in terms:
+        total += t.values
+    return NodalFunction(u0.mesh, u0.values + total)
 
 
 def solve_improved_orders(
@@ -164,20 +171,21 @@ def solve_improved_orders(
 ) -> tuple[NodalFunction, list[NodalFunction]]:
     """u_0 and the two-solve U_M for every M in truncations, in that order.
 
-    psi is evaluated at the quadrature points once and G_M is read off one
-    pass of the series recurrence; each distinct M then costs one series
+    psi is evaluated at the quadrature points once, one element block at a
+    time (fem.element_blocks), and every G_M is read off one pass of the
+    series recurrence per block; each distinct M then costs one series
     weight Q_e(G_M) and one sweep of u_0's fluxes. Every U_M is
     bit-identical to a run of its order alone.
     """
     if min(truncations) < 1:
         raise ValueError(f"truncation order must be >= 1, got {min(truncations)}")
     u0, flux = _u0_and_flux(problem, n_elems, rule)
-    psi_vals = psi_of(problem.kappa)(u0.mesh.element_points(rule))
-    series = series_partial_sums(psi_vals, truncations)
-    totals = {
-        m: flux_sweep(u0.mesh, flux, g @ rule.weights, problem.alpha)
-        for m, g in series.items()
-    }
+    psi = psi_of(problem.kappa)
+    weights = {m: np.empty(n_elems) for m in truncations}  # Q_e(G_M) for every order M
+    for elems, pts in element_blocks(u0.mesh, rule):
+        for m, g in series_partial_sums(psi(pts), truncations).items():
+            weights[m][elems] = g @ rule.weights
+    totals = {m: flux_sweep(u0.mesh, flux, w, problem.alpha) for m, w in weights.items()}
     return u0, [totals[m] for m in truncations]
 
 

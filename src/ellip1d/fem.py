@@ -29,9 +29,18 @@ path uses them.
 Arrays over element quadrature points (Mesh.element_points,
 NodalFunction.at_quadrature, and every coefficient evaluated on them) have
 shape (n_elems, n_points) but are stored point-major: one contiguous run of
-N values per Gauss point. Elementwise passes and the reductions against the
-rule's weights then stream over N values instead of broadcasting over rows of
-3 or 5. Indexing and row-major flattening are unaffected by the layout.
+values per Gauss point. Elementwise passes and the reductions against the
+rule's weights then stream along elements instead of broadcasting over rows
+of 3 or 5. Indexing and row-major flattening are unaffected by the layout.
+The solvers and the error norms do not build these arrays for the whole
+mesh: element_blocks hands them out for consecutive blocks of at most
+BLOCK_ELEMS elements, so each block's coefficient values and temporaries
+stay in cache (tiling, Wolf & Lam, PLDI 1991), and only per-element results
+(N-vectors) span the mesh. Each element sees the same operations on the same
+values as in one whole-mesh pass, and every reduction across elements still
+runs over whole N-vectors. Blocks start at multiples of 8 elements: BLAS
+matrix-vector kernels group rows, and a block boundary elsewhere can change
+the last bit of a row's sum against the rule's weights.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ __all__ = [
     "Mesh",
     "QuadratureRule",
     "ASSEMBLY_RULE",
+    "BLOCK_ELEMS",
+    "element_blocks",
     "NodalFunction",
     "TridiagonalSystem",
     "TridiagonalFactorization",
@@ -82,15 +93,16 @@ class Mesh:
     def h(self) -> float:
         return self.length / self.n_elems
 
-    def element_points(self, rule: "QuadratureRule") -> np.ndarray:
-        """Quadrature points of every element, shape (n_elems, rule.n_points).
+    def element_points(self, rule: "QuadratureRule", elems: slice = slice(None)) -> np.ndarray:
+        """Quadrature points of the elements in elems (default: all), one row
+        per element and one column per point.
 
         The array is stored point-major (its transpose is C-contiguous), so
-        every elementwise pass over it runs along N contiguous values rather
+        every elementwise pass over it runs along contiguous values rather
         than along rows of n_points. Row-major flattening (ravel) is still
         ascending in x.
         """
-        return (self.nodes[:-1] + self.h * rule.points[:, None]).T
+        return (self.nodes[:-1][elems] + self.h * rule.points[:, None]).T
 
     def same_as(self, other: "Mesh") -> bool:
         return self.n_elems == other.n_elems and self.length == other.length
@@ -128,6 +140,25 @@ class QuadratureRule:
 # 3-point Gauss rule the CLI and the benchmark assemble every system with
 ASSEMBLY_RULE = QuadratureRule.gauss(3)
 
+# most elements in one block of a quadrature-point pass: a block's points and
+# coefficient values, 5 x 4096 doubles at most, stay well inside a 2 MB cache
+BLOCK_ELEMS = 4096
+
+
+def element_blocks(mesh: Mesh, rule: QuadratureRule):
+    """(element slice, its quadrature points) for consecutive element blocks.
+
+    The ceil(N / BLOCK_ELEMS) blocks have near-equal sizes, each rounded up
+    to a multiple of 8, so that every block starts at a multiple of 8
+    elements (see the module docstring) and no block is a tiny remainder.
+    """
+    n = mesh.n_elems
+    blocks = -(-n // BLOCK_ELEMS)
+    size = 8 * -(-n // (8 * blocks))  # ceil(n / blocks), rounded up to a multiple of 8
+    for start in range(0, n, size):
+        elems = slice(start, min(start + size, n))
+        yield elems, mesh.element_points(rule, elems)
+
 
 @dataclass(frozen=True, eq=False)
 class NodalFunction:
@@ -143,13 +174,14 @@ class NodalFunction:
         """Per-element (piecewise constant) derivative, shape (n_elems,)."""
         return np.diff(self.values) / self.mesh.h
 
-    def at_quadrature(self, rule: QuadratureRule) -> np.ndarray:
-        """Values at every element quadrature point, shape (n_elems, n_points).
+    def at_quadrature(self, rule: QuadratureRule, elems: slice = slice(None)) -> np.ndarray:
+        """Values at the quadrature points of the elements in elems (default:
+        all), one row per element and one column per point.
 
         Stored point-major, like Mesh.element_points.
         """
         t = rule.points[:, None]
-        return (self.values[:-1] * (1.0 - t) + self.values[1:] * t).T
+        return (self.values[:-1][elems] * (1.0 - t) + self.values[1:][elems] * t).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +195,11 @@ class TridiagonalSystem:
     rhs: np.ndarray
 
 
-def _coeff_at_points(coeff, pts: np.ndarray, what: str) -> np.ndarray:
+def _coeff_at_points(coeff, pts: np.ndarray, what: str, first: int = 0) -> np.ndarray:
+    """coeff at pts, the points of the elements first, first + 1, ..."""
     vals = np.broadcast_to(np.asarray(coeff(pts), dtype=float), pts.shape)
     if not np.all(np.isfinite(vals)):
-        bad = int(np.argwhere(~np.isfinite(vals))[0][0])
+        bad = first + int(np.argwhere(~np.isfinite(vals))[0][0])
         raise AssemblyError(f"{what} evaluated to a non-finite value on element {bad}")
     return vals
 
@@ -195,11 +228,13 @@ def assemble_stiffness(mesh: Mesh, coeff, rule: QuadratureRule) -> TridiagonalSy
 
 def assemble_load(mesh: Mesh, f, rule: QuadratureRule, beta: float = 0.0) -> np.ndarray:
     """Load vector of int f v dx - beta v(L) against the hat basis."""
-    pts = mesh.element_points(rule)
-    fvals = _coeff_at_points(f, pts, "load function")
     t = rule.points
-    left = mesh.h * (fvals @ (rule.weights * (1.0 - t)))
-    right = mesh.h * (fvals @ (rule.weights * t))
+    left_weights, right_weights = rule.weights * (1.0 - t), rule.weights * t
+    left, right = np.empty(mesh.n_elems), np.empty(mesh.n_elems)
+    for elems, pts in element_blocks(mesh, rule):
+        fvals = _coeff_at_points(f, pts, "load function", elems.start)
+        left[elems] = mesh.h * (fvals @ left_weights)
+        right[elems] = mesh.h * (fvals @ right_weights)
 
     out = np.zeros(mesh.n_elems + 1)
     out[:-1] += left
@@ -340,8 +375,10 @@ def fem_solve(problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:
     element's Gauss mean of the true coefficient.
     """
     mesh = build_mesh(problem.length, n_elems)
-    pts = mesh.element_points(rule)
-    mean = _coeff_at_points(problem.kappa, pts, "stiffness coefficient") @ rule.weights
+    mean = np.empty(n_elems)
+    for elems, pts in element_blocks(mesh, rule):
+        kvals = _coeff_at_points(problem.kappa, pts, "stiffness coefficient", elems.start)
+        mean[elems] = kvals @ rule.weights
     bad = ~(np.isfinite(mean) & (mean > 0.0))
     if bad.any():
         e = int(np.argmax(bad))

@@ -273,6 +273,22 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert f"does not nest N = 7, 30, {2 * FINE_GRID_ELEMS}" in capsys.readouterr().err
 
+    # the nesting check reads the problem that the table then runs on
+    @pytest.mark.parametrize("pid, n_list", [("ex1", "7,30"), ("ex4", "8,16")])
+    def test_table_builds_its_problem_once(self, pid, n_list, capsys, monkeypatch):
+        builds = []
+
+        def counted(problem_id):
+            builds.append(problem_id)
+            return builtin_problem(problem_id)
+
+        monkeypatch.setattr(cli, "builtin_problem", counted)
+        code, out, _ = run_cli(capsys, "table", "--problem", pid, "--N-list", n_list,
+                               "--M-list", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 3
+        assert builds == [pid]
+
     def test_table_sizes_off_the_fine_grid_run_with_a_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--problem", "ex1", "--method", "improved",
                                "--N-list", "7,30", "--M-list", "2")

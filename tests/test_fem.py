@@ -23,7 +23,7 @@ from ellip1d import (
     solve_tridiagonal,
 )
 from ellip1d.decompose import solve_improved, solve_original, solve_u0
-from ellip1d.fem import Mesh, NodalFunction, TridiagonalSystem
+from ellip1d.fem import BLOCK_ELEMS, Mesh, NodalFunction, TridiagonalSystem
 from ellip1d.problems import Problem, psi_of
 from conftest import field, positive_problems, tridiagonal_matvec, unit_problem
 
@@ -479,6 +479,39 @@ class TestPointMajorLayout:
         psi = psi_of(field(lambda x: np.where(x == bad_x, -1.0, 1.0)))
         with pytest.raises(ValueError, match=re.escape(f"at x = {bad_x}") + "$"):
             psi(pts)
+
+
+class TestBlockedElementIndex:
+    """Errors name an element by its index in the mesh, not within its block."""
+
+    E = BLOCK_ELEMS + 5
+    N = 2 * BLOCK_ELEMS
+
+    def bad_at(self, value, rule):
+        bad_x = build_mesh(1.0, self.N).element_points(rule)[self.E, -1]
+        return field(lambda x: np.where(x == bad_x, value, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_load(self, rule3, bad):
+        f = self.bad_at(bad, rule3)
+        message = rf"load function .* on element {self.E}$"
+        with pytest.raises(AssemblyError, match=message):
+            assemble_load(build_mesh(1.0, self.N), f, rule3)
+        with pytest.raises(AssemblyError, match=message):
+            solve_u0(unit_problem(f=f), self.N, rule3)
+
+    def test_nonfinite_kappa_in_fem_solve(self, rule3):
+        # a Problem would reject this kappa on construction
+        problem = SimpleNamespace(length=1.0, kappa=self.bad_at(np.nan, rule3),
+                                  f=constant_field(1.0), alpha=0.0, beta=0.0)
+        with pytest.raises(AssemblyError, match=rf"stiffness .* on element {self.E}$"):
+            fem_solve(problem, self.N, rule3)
+
+    def test_nonpositive_mean_in_fem_solve(self, rule3):
+        problem = SimpleNamespace(length=1.0, kappa=self.bad_at(-1e3, rule3),
+                                  f=constant_field(1.0), alpha=0.0, beta=0.0)
+        with pytest.raises(ValueError, match=rf"^element {self.E} has mean conductance"):
+            fem_solve(problem, self.N, rule3)
 
 
 class TestConcurrentUse:
