@@ -36,6 +36,7 @@ from .fem import (
     solve_tridiagonal,
 )
 from .norms import (
+    PSI_SUP_SAMPLES,
     BoundViolationError,
     ErrorReport,
     Reference,

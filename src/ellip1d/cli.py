@@ -28,7 +28,6 @@ from .decompose import (
 )
 from .fem import ASSEMBLY_RULE, fem_solve
 from .norms import (
-    PSI_SUP_SAMPLES,
     BoundViolationError,
     ErrorReport,
     Reference,
@@ -37,12 +36,10 @@ from .norms import (
     fine_grid_l2_error,
     h1_seminorm,
     observed_order,
-    sup_norm,
     tail_bound,
     theorem_bound_check,
 )
-from .problems import (BUILTIN_IDS, AccuracyError, builtin_problem, psi_of,
-                       series_remainders)
+from .problems import BUILTIN_IDS, AccuracyError, builtin_problem, series_remainders
 
 __all__ = ["main", "run"]
 
@@ -312,7 +309,7 @@ def _suite_equivalence(problem, m_list):
 
 def _suite_factorial_decay(problem, m_list):
     result = solve_original(problem, 2**9, 6, ASSEMBLY_RULE)
-    psi_sup = sup_norm(psi_of(problem.kappa), problem.length, PSI_SUP_SAMPLES)
+    psi_sup = problem.psi_sup
     u0_h1 = h1_seminorm(result.u0)
     lines, ok = [], True
     allowed = 1.0

@@ -48,6 +48,7 @@ from .fem import (
     element_blocks,
     flux_sweep,
     load_flux,
+    sweep_rows,
 )
 from .problems import (
     Problem,
@@ -81,12 +82,12 @@ class Method(enum.Enum):
 class DecompositionResult:
     """Output of one decomposition run, with honest cost counters.
 
-    solve_count counts fem.flux_sweep calls (each is one back-substitution
-    in the cost model); assembly_count counts the right-hand sides built
-    from psi (the recursive method builds one flux per correction term, the
-    two-solve method exactly one series weight); factorization_count counts
-    the one fem.load_flux pass that turns the load into the element fluxes
-    all sweeps start from.
+    solve_count counts flux sweeps, fem.flux_sweep calls or rows of one
+    fem.sweep_rows call (each is one back-substitution in the cost model);
+    assembly_count counts the right-hand sides built from psi (the recursive
+    method builds one flux per correction term, the two-solve method exactly
+    one series weight); factorization_count counts the one fem.load_flux
+    pass that turns the load into the element fluxes all sweeps start from.
     """
 
     u0: NodalFunction
@@ -120,29 +121,35 @@ def solve_original(
     with weight 1 of the element flux c_m = -sum_{j=1}^{m} mu_j u_{m-j}',
     built once from the slopes of the terms before it; each correction's
     slope is the flux it was swept from, not a difference of nodal values.
-    The flux terms of the corrections are natural in the weak form and
-    cancel, so no boundary assembly happens beyond the -beta term in the u_0
-    load. truncation = 0 degenerates to the plain u_0 solve.
+    The M terms are the rows of one (M, N + 1) array: the recursion writes
+    each c_m into its row, and one fem.sweep_rows call sweeps every row in
+    place. The returned terms are views of those rows. The flux terms of
+    the corrections are natural in the weak form and cancel, so no boundary
+    assembly happens beyond the -beta term in the u_0 load. truncation = 0
+    degenerates to the plain u_0 solve.
     """
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
     u0, _ = _u0_and_flux(problem, n_elems, rule)
     psi = psi_of(problem.kappa)
-    # row j: u_j', and from j = 1 on the flux c_j that u_j is swept from
-    slopes = np.zeros((truncation + 1, n_elems))
-    slopes[0] = u0.derivative_values()
+    u0_slope = u0.derivative_values()
+    # row m - 1: term u_m, with u_m(0) = 0 in column 0; columns 1..N first hold
+    # the flux c_m it is swept from, which is also its slope u_m'
+    values = np.zeros((truncation, n_elems + 1))
     for elems, pts in element_blocks(u0.mesh, rule):
+        # slopes[j] is u_j' on the block
+        slopes = [u0_slope[elems], *values[:, elems.start + 1:elems.stop + 1]]
         # psi^j / j! at the block's quadrature points; mu_j needs them from j = 1 on
         powers = exp_series_terms(psi(pts))
         next(powers)
         moments: list[np.ndarray] = []  # mu_1 ... mu_m on the block
         for m in range(1, truncation + 1):
             moments.append(next(powers) @ rule.weights)
-            flux = slopes[m, elems]
-            for mu, slope in zip(moments, slopes[m - 1::-1, elems]):  # mu_j u_{m-j}'
+            flux = slopes[m]
+            for mu, slope in zip(moments, slopes[m - 1::-1]):  # mu_j u_{m-j}'
                 flux -= mu * slope
     # a sweep with weight 1 has slope flux
-    terms = [flux_sweep(u0.mesh, flux, 1.0, 0.0) for flux in slopes[1:]]
+    terms = [NodalFunction(u0.mesh, row) for row in sweep_rows(values, u0.mesh.h)]
 
     return DecompositionResult(
         u0=u0,

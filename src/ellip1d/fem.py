@@ -19,9 +19,11 @@ with Q_e the Gauss mean over element e. load_flux turns a load vector into
 the element fluxes F with one reverse cumsum, and flux_sweep solves
 u_{e+1} - u_e = h w_e F_e from u(0) = alpha with one forward cumsum: the
 direct method sweeps with weight w_e = 1 / Q_e(kappa), every
-unit-coefficient problem with weight 1. With exact element integrals, 1D P1
-Galerkin solutions are nodally exact (Tong, AIAA J. 7, 1969); the two sums
-add only their own rounding, not the N^2 eps growth of elimination. The
+unit-coefficient problem with weight 1. sweep_rows is that sweep in place,
+on rows that already hold u(0) and the fluxes, so that many sweeps share
+one array. With exact element integrals, 1D P1 Galerkin solutions are
+nodally exact (Tong, AIAA J. 7, 1969); the two sums add only their own
+rounding, not the N^2 eps growth of elimination. The
 stiffness matrix, the node-vector gradient loads and the Thomas-algorithm
 solver (factorize, solve_tridiagonal) stay as references for tests; no solve
 path uses them.
@@ -68,6 +70,7 @@ __all__ = [
     "apply_dirichlet",
     "factorize",
     "solve_tridiagonal",
+    "sweep_rows",
     "flux_sweep",
     "fem_solve",
 ]
@@ -357,6 +360,18 @@ def load_flux(rhs: np.ndarray) -> np.ndarray:
     return np.cumsum(rhs[:0:-1])[::-1]
 
 
+def sweep_rows(values: np.ndarray, scale) -> np.ndarray:
+    """The flux sweep in place, along the last axis of values, which it returns.
+
+    Each row enters with u(0) in column 0 and the element fluxes in columns
+    1..N, and leaves as the nodal values with slope scale_e * flux_e on
+    element e: the fluxes are scaled, then the row is cumsummed, and no
+    other array of the row's size is made.
+    """
+    values[..., 1:] *= scale
+    return np.cumsum(values, axis=-1, out=values)
+
+
 def flux_sweep(mesh: Mesh, flux: np.ndarray, weight, alpha: float) -> NodalFunction:
     """u(0) = alpha and slope weight_e * flux_e on element e (one forward cumsum).
 
@@ -364,7 +379,9 @@ def flux_sweep(mesh: Mesh, flux: np.ndarray, weight, alpha: float) -> NodalFunct
     series weight Q_e(G_M) can be zero or negative. The result carries only
     the rounding of the sum, not the N^2 eps growth of elimination.
     """
-    return NodalFunction(mesh, np.cumsum(np.concatenate(([alpha], mesh.h * weight * flux))))
+    values = np.empty(mesh.n_elems + 1)
+    values[0], values[1:] = alpha, flux
+    return NodalFunction(mesh, sweep_rows(values, mesh.h * weight))
 
 
 def fem_solve(problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import Mesh, NodalFunction, QuadratureRule, build_mesh, element_blocks
-from .problems import Problem, ScalarField, flux_field, psi_of, series_remainders
+from .problems import (PSI_SUP_SAMPLES, Problem, ScalarField, flux_field, psi_of,
+                       series_remainders, sup_norm)
 
 __all__ = [
     "Reference",
@@ -34,6 +35,7 @@ __all__ = [
     "h1_seminorm_error",
     "h1_seminorm",
     "sup_norm",
+    "PSI_SUP_SAMPLES",
     "tail_bound",
     "theorem_bound_check",
     "observed_order",
@@ -126,18 +128,6 @@ def h1_seminorm(v: NodalFunction) -> float:
     return float(np.sqrt(np.sum(np.diff(v.values) ** 2) / v.mesh.h))
 
 
-def sup_norm(field: ScalarField, length: float, n_samples: int) -> float:
-    """max |field| over n_samples equispaced points including both endpoints.
-
-    A lower estimate of the true sup; 65536 samples are used wherever the
-    theory checks need ||psi||_inf.
-    """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-    grid = np.linspace(0.0, length, n_samples)
-    return float(np.max(np.abs(field(grid))))
-
-
 def tail_bound(psi_sup: float, truncation: int) -> float:
     """Series-tail bound psi_sup^(M+1) / (M+1)! * exp(psi_sup)."""
     if psi_sup < 0:
@@ -161,7 +151,6 @@ class BoundViolationError(AssertionError):
         super().__init__(f"truncation-error bound violated: {lines}")
 
 
-PSI_SUP_SAMPLES = 65536
 # elements of the mesh whose ERROR_RULE points sample the theorem-bound integrands
 THEOREM_ELEMS = 2**10
 
@@ -175,13 +164,15 @@ def theorem_bound_check(
     R_M = kappa^-1 - G_M summed as a series tail (series_remainders) and
     u_0' the flux, both sampled once at the ERROR_RULE points of a
     2^10-element mesh; this assumes kappa and f smooth on the scale of
-    L / 2^10, as the built-in problems are. Returns (M, error, bound)
-    triples; raises BoundViolationError listing every violating M.
+    L / 2^10, as the built-in problems are. ||psi||_inf is problem.psi_sup,
+    sampled once per Problem object and shared with every other check run
+    on it. Returns (M, error, bound) triples; raises BoundViolationError
+    listing every violating M.
     """
     if max_truncation < 1:
         raise ValueError(f"need max truncation >= 1, got {max_truncation}")
     psi = psi_of(problem.kappa)
-    psi_sup = sup_norm(psi, problem.length, PSI_SUP_SAMPLES)
+    psi_sup = problem.psi_sup
     mesh = build_mesh(problem.length, THEOREM_ELEMS)
     pts = mesh.element_points(ERROR_RULE)
     flux = flux_field(problem)(pts)

@@ -24,6 +24,7 @@ decomposition methods.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,12 +33,16 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval
 
+from . import fem
+
 __all__ = [
     "AccuracyError",
     "ScalarField",
     "Problem",
     "constant_field",
     "psi_of",
+    "sup_norm",
+    "PSI_SUP_SAMPLES",
     "g_m",
     "builtin_problem",
     "BUILTIN_IDS",
@@ -87,6 +92,25 @@ def constant_field(value: float, description: str = "") -> ScalarField:
 # kappa is checked at this many + 1 equispaced points: the sampled minimum is
 # an upper estimate of the true one, not a certificate of positivity
 _VALIDATION_SAMPLES = 65536
+# ||psi||_inf is sampled at this many equispaced points wherever the theory
+# checks need it
+PSI_SUP_SAMPLES = 65536
+
+
+def _grid_chunks(length: float, n_samples: int):
+    """np.linspace(0, length, n_samples) in consecutive chunks of fem.BLOCK_ELEMS samples.
+
+    Sample i is i * (length / (n_samples - 1)) and the last sample is length
+    itself, as linspace computes them, so the chunks hold linspace's values
+    bit for bit while each chunk's temporaries stay in cache.
+    """
+    step = length / (n_samples - 1)
+    for start in range(0, n_samples, fem.BLOCK_ELEMS):
+        stop = min(start + fem.BLOCK_ELEMS, n_samples)
+        chunk = np.arange(start, stop, dtype=float) * step
+        if stop == n_samples:
+            chunk[-1] = length
+        yield chunk
 
 
 @dataclass(frozen=True)
@@ -97,6 +121,9 @@ class Problem:
     norms score slopes against; both are checked against the boundary data.
     closed_form says whether exact is a closed-form solution; if not, exact
     is the flux oracle, and error tables score against a fine-grid solve.
+    psi_sup is ||psi||_inf, sup_norm(psi_of(kappa), length, PSI_SUP_SAMPLES),
+    sampled on first use and kept on the object, so every check run on one
+    Problem reads the same value from one grid.
     """
 
     name: str
@@ -111,11 +138,12 @@ class Problem:
     def __post_init__(self):
         if self.length <= 0:
             raise ValueError(f"domain length must be positive, got {self.length}")
-        grid = np.linspace(0.0, self.length, _VALIDATION_SAMPLES + 1)
-        kvals = self.kappa(grid)
-        if not np.all(np.isfinite(kvals)):
-            raise ValueError(f"{self.name}: coefficient is not finite on [0, L]")
-        kmin = float(np.min(kvals))
+        kmin = math.inf
+        for grid in _grid_chunks(self.length, _VALIDATION_SAMPLES + 1):
+            kvals = self.kappa(grid)
+            if not np.all(np.isfinite(kvals)):
+                raise ValueError(f"{self.name}: coefficient is not finite on [0, L]")
+            kmin = min(kmin, float(np.min(kvals)))
         if kmin <= 0.0:
             raise ValueError(
                 f"{self.name}: coefficient must be strictly positive, "
@@ -136,6 +164,11 @@ class Problem:
                     f"{flux_end:.3e}, expected {self.beta}"
                 )
 
+    @functools.cached_property
+    def psi_sup(self) -> float:
+        """||psi||_inf of the log-coefficient, on PSI_SUP_SAMPLES equispaced points."""
+        return sup_norm(psi_of(self.kappa), self.length, PSI_SUP_SAMPLES)
+
 
 def psi_of(kappa: ScalarField) -> ScalarField:
     """Pointwise log of a strictly positive coefficient."""
@@ -148,6 +181,22 @@ def psi_of(kappa: ScalarField) -> ScalarField:
         return np.log(kvals)
 
     return ScalarField(fn, f"log({kappa.description or 'coefficient'})")
+
+
+def sup_norm(field: ScalarField, length: float, n_samples: int) -> float:
+    """max |field| over n_samples equispaced points including both endpoints.
+
+    A lower estimate of the true sup; the theory checks read it for psi as
+    Problem.psi_sup. The points are those of np.linspace(0, length,
+    n_samples), sampled one chunk of fem.BLOCK_ELEMS at a time, and the
+    maximum of the chunk maxima is the maximum over the whole grid.
+    """
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    peak = 0.0
+    for grid in _grid_chunks(length, n_samples):
+        peak = np.maximum(peak, np.max(np.abs(field(grid))))  # NaN propagates
+    return float(peak)
 
 
 def exp_series_terms(x: np.ndarray):
@@ -185,8 +234,10 @@ def series_remainders(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
 
     The terms come from exp_series_terms(-psi), continued until each is
     below eps/8 of |(-psi)^(m+1) / (m+1)!| e^-max(psi, 0), the Lagrange lower
-    bound of |R_m|, for every wanted m. They are summed from the smallest up,
-    so no R_m is a difference of O(1) values.
+    bound of |R_m|, for every wanted m. They are summed from the smallest up
+    by one running sum, so no R_m is a difference of O(1) values; each R_m is
+    a copy of that sum, and each term is dropped once added. Only the kept
+    terms and the wanted R_m are held, one psi-shaped array each.
     """
     wanted = set(orders)
     if min(wanted) < 0:
@@ -194,11 +245,20 @@ def series_remainders(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
     neg = -np.asarray(psi_values, dtype=float)
     series = exp_series_terms(neg)
     terms = [next(series) for _ in range(max(wanted) + 2)]
-    leads = np.min(np.abs([terms[m + 1] for m in wanted]), axis=0)
+    leads = np.full(neg.shape, np.inf)  # the smallest |t_{m+1}| over the wanted m
+    for m in wanted:
+        np.minimum(leads, np.abs(terms[m + 1]), out=leads)
     floor = _EPS / 8 * np.exp(np.minimum(neg, 0.0)) * leads
     while np.any(np.abs(terms[-1]) > floor):
         terms.append(next(series))
-    tails = np.cumsum(terms[:0:-1], axis=0)[::-1]  # tails[m] = sum_{j>m} t_j
+    # the running sum starts as the last term, R_{K-2} = t_{K-1} for K terms,
+    # and adding t_m turns R_m into R_{m-1}
+    total = np.array(terms.pop(), dtype=float)
+    tails = {}
+    for m in range(len(terms) - 1, min(wanted) - 1, -1):
+        if m in wanted:
+            tails[m] = total.copy()
+        total += terms.pop()
     return {m: tails[m] for m in wanted}
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def explicit_tail(psi: float, m: int) -> float:
     For |psi| <= 3 the forty terms leave out less than 1e-28 of the tail.
     """
     return math.fsum((-psi) ** j / math.factorial(j) for j in range(m + 1, m + 41))
+
+
+def traced_peak_mb(fn) -> float:
+    """tracemalloc peak of fn() above what was allocated before the call."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def unit_problem(f=None, alpha=0.0, beta=0.0, name="unit"):

@@ -5,17 +5,21 @@ blocks of at most fem.BLOCK_ELEMS elements. Each element gets the same
 operations on the same values as in one whole-mesh pass, and every sum
 across elements still runs over whole vectors, so each result must be bit
 for bit the one the same call gives with BLOCK_ELEMS above N (one block).
+The equispaced sample grids of sup_norm and of Problem validation are walked
+in chunks of BLOCK_ELEMS samples; their maxima, minima and finiteness tests
+are exact under chunking, so they too must match one whole-grid pass.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from ellip1d import fem
+from ellip1d import builtin_problem, constant_field, fem, psi_of
 from ellip1d.decompose import solve_improved, solve_original, solve_u0
 from ellip1d.fem import ASSEMBLY_RULE, BLOCK_ELEMS, build_mesh, element_blocks, fem_solve
-from ellip1d.norms import field_errors
+from ellip1d.norms import field_errors, sup_norm
+from ellip1d.problems import Problem
+
+from conftest import field, traced_peak_mb
 
 B = BLOCK_ELEMS
 M = 6
@@ -69,20 +73,6 @@ def test_blocked_passes_match_one_block(pid, n, request, monkeypatch):
     assert errors == one_errors  # exact float equality
 
 
-def traced_peak_mb(fn) -> float:
-    """tracemalloc peak of fn() above what was allocated before the call."""
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 # one whole-mesh pass kept (2^16, 5) point arrays and their temporaries:
 # 13.6 MB for field_errors and 9.4 MB for solve_improved on ex2
 @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
@@ -91,3 +81,77 @@ def test_peak_allocation_stays_block_sized(pid, request):
     assert traced_peak_mb(lambda: solve_improved(problem, n, 10, ASSEMBLY_RULE)) < 4.0
     u = solve_improved(problem, n, 10, ASSEMBLY_RULE).U_M
     assert traced_peak_mb(lambda: field_errors(u.mesh, [u], problem.exact)) < 4.0
+
+
+# the (2^16 + 1, M + 1) slopes array and M fresh concatenate/cumsum pairs per
+# call held 13.6 MB; one (M, N + 1) array of term values swept in place holds 8.6
+@pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+def test_original_method_sweeps_its_terms_in_place(pid, request):
+    problem = request.getfixturevalue(pid)
+    assert traced_peak_mb(lambda: solve_original(problem, 2**16, 10, ASSEMBLY_RULE)) < 10.0
+
+
+class TestSampleGrids:
+    """sup_norm and Problem validation sample linspace grids chunk by chunk."""
+
+    @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2**16, 100001])
+    def test_chunks_are_the_linspace_grid(self, n):
+        seen = []
+
+        def identity(x):
+            seen.append(x.copy())
+            return x
+
+        peak = sup_norm(field(identity), 1.0, n)
+        grid = np.linspace(0.0, 1.0, n)
+        np.testing.assert_array_equal(np.concatenate(seen).view(np.uint64),
+                                      grid.view(np.uint64))
+        assert max(len(chunk) for chunk in seen) <= B
+        assert peak == 1.0
+
+    @pytest.mark.parametrize("pid", ["ex2", "ex4"])
+    @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2**16, 100001])
+    def test_sup_norm_is_the_whole_grid_max(self, pid, n, request):
+        psi = psi_of(request.getfixturevalue(pid).kappa)
+        whole = float(np.max(np.abs(psi(np.linspace(0.0, 1.0, n)))))
+        assert sup_norm(psi, 1.0, n) == whole  # exact float equality
+
+    def test_sup_norm_propagates_nan(self):
+        nan_at_end = field(lambda x: np.where(x == 1.0, np.nan, x))
+        assert np.isnan(sup_norm(nan_at_end, 1.0, 2**16))
+
+    @staticmethod
+    def problem_with(kappa_at_0, kappa_at_end):
+        """A Problem whose coefficient is 1 except at x = 0 and x = L = 1.
+
+        65 537 samples make 16 full chunks and a last chunk that holds x = L
+        alone.
+        """
+        kappa = field(lambda x: np.where(x == 0.0, kappa_at_0,
+                                         np.where(x == 1.0, kappa_at_end, 1.0)))
+        return Problem(name="bad", length=1.0, kappa=kappa, f=constant_field(1.0),
+                       alpha=0.0, beta=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_validation_finds_a_non_finite_sample_at_either_end(self, bad, at_end):
+        with pytest.raises(ValueError, match="bad: coefficient is not finite"):
+            self.problem_with(*((1.0, bad) if at_end else (bad, 1.0)))
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_validation_finds_a_non_positive_sample_at_either_end(self, bad, at_end):
+        with pytest.raises(ValueError, match=f"strictly positive, sampled minimum {bad}"):
+            self.problem_with(*((1.0, bad) if at_end else (bad, 1.0)))
+
+    def test_validation_reports_non_finite_before_non_positive(self):
+        # the non-positive sample comes in the first chunk, the NaN in the last
+        with pytest.raises(ValueError, match="not finite"):
+            self.problem_with(-1.0, np.nan)
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_peak_allocation_stays_chunk_sized(self, pid, request):
+        # whole grids held 1.1-2.0 MB: the 2^16 samples and their temporaries
+        psi = psi_of(request.getfixturevalue(pid).kappa)
+        assert traced_peak_mb(lambda: sup_norm(psi, 1.0, 2**16)) < 1.0
+        assert traced_peak_mb(lambda: builtin_problem(pid)) < 1.0

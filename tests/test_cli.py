@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ellip1d import QuadratureRule, builtin_problem, cli, fem_solve
@@ -12,11 +14,13 @@ from ellip1d.cli import (
 from ellip1d.decompose import Method, solve_improved, solve_original
 from ellip1d.norms import (
     ERROR_RULE,
+    PSI_SUP_SAMPLES,
     fine_grid_h1_error,
     fine_grid_l2_error,
     h1_seminorm_error,
     l2_error,
 )
+from ellip1d.problems import ScalarField
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +225,33 @@ class TestVerify:
         assert code == 0
         assert "M=1:" in out and "M=4:" in out and "M=3:" not in out
         assert "<= bound" in out
+
+    @staticmethod
+    def kappa_samples(monkeypatch, capsys, pid, *argv) -> int:
+        """Points at which `verify --problem pid *argv` samples kappa, once the
+        Problem is built and validated."""
+        samples = [0]
+        problem = builtin_problem(pid)
+        kappa = problem.kappa
+
+        def counted(x):
+            samples[0] += x.size
+            return kappa(x)
+
+        problem = dataclasses.replace(problem, kappa=ScalarField(counted, kappa.description))
+        samples[0] = 0
+        monkeypatch.setattr(cli, "builtin_problem", lambda _: problem)
+        assert run_cli(capsys, "verify", "--problem", pid, *argv)[0] == 0
+        return samples[0]
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2"])
+    def test_suites_share_one_psi_sup_grid(self, monkeypatch, capsys, pid):
+        # theorem-bound and factorial-decay both need ||psi||_inf: run on one
+        # Problem they sample its grid once, run on two they sample it twice
+        one_run = self.kappa_samples(monkeypatch, capsys, pid)
+        suite_by_suite = sum(self.kappa_samples(monkeypatch, capsys, pid, "--suite", name)
+                             for name in cli.VERIFY_SUITES)
+        assert one_run == suite_by_suite - PSI_SUP_SAMPLES
 
     def test_single_suite_equivalence(self, capsys):
         code, out, _ = run_cli(

@@ -15,12 +15,15 @@ from ellip1d.decompose import (
     truncated_sum,
 )
 from ellip1d.fem import (
+    ASSEMBLY_RULE,
+    BLOCK_ELEMS,
     assemble_gradient_load,
     assemble_stiffness,
     build_mesh,
+    flux_sweep,
 )
 from ellip1d.norms import h1_seminorm, sup_norm
-from ellip1d.problems import ScalarField, series_partial_sums
+from ellip1d.problems import ScalarField, exp_series_terms, series_partial_sums
 
 from conftest import field, positive_problems, tridiagonal_matvec, unit_problem
 
@@ -52,6 +55,22 @@ class TestSolveU0:
             u0_fine.derivative_values() - 2.0 / np.pi * np.sin(np.pi * mids_f)
         ).max()
         assert gap_fine <= gap / 3.0
+
+
+def original_terms_reference(problem, n, truncation, rule):
+    """The recursion's terms u_1 ... u_M as one whole-mesh pass and one
+    fem.flux_sweep call per term, with a fresh flux array for each."""
+    u0 = solve_u0(problem, n, rule)
+    powers = exp_series_terms(psi_of(problem.kappa)(u0.mesh.element_points(rule)))
+    next(powers)
+    moments = [next(powers) @ rule.weights for _ in range(truncation)]  # mu_1 ... mu_M
+    slopes = [u0.derivative_values()]
+    for _ in range(truncation):
+        flux = np.zeros(n)
+        for mu, slope in zip(moments, slopes[::-1]):  # mu_j u_{m-j}'
+            flux -= mu * slope
+        slopes.append(flux)
+    return [flux_sweep(u0.mesh, flux, 1.0, 0.0) for flux in slopes[1:]]
 
 
 class TestSolveOriginal:
@@ -110,6 +129,16 @@ class TestSolveOriginal:
             weight = ScalarField(lambda x, j=j: psi(x) ** j / math.factorial(j))
             rhs = (-1.0) ** j * assemble_gradient_load(mesh, weight, result.u0, rule3)
             assert np.abs(lhs[1:] - rhs[1:]).max() <= 1e-10
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    @pytest.mark.parametrize("n, m", [(7, 1), (100, 3), (4097, 6), (3 * BLOCK_ELEMS + 7, 10)])
+    def test_terms_match_one_sweep_per_term(self, pid, n, m, request):
+        problem = request.getfixturevalue(pid)
+        result = solve_original(problem, n, m, ASSEMBLY_RULE)
+        expected = original_terms_reference(problem, n, m, ASSEMBLY_RULE)
+        assert [t.values.tobytes() for t in result.terms] == [
+            t.values.tobytes() for t in expected]
+        assert result.U_M.values.tobytes() == truncated_sum(result.u0, expected).values.tobytes()
 
     def test_zero_truncation_degenerates_to_u0(self, rule3, ex1):
         result = solve_original(ex1, 16, 0, rule3)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from scipy.integrate import quad
 
 from ellip1d import (
+    PSI_SUP_SAMPLES,
+    builtin_problem,
     constant_field,
     l2_error,
     observed_order,
@@ -146,6 +148,13 @@ class TestSupNorm:
     def test_oscillatory_log(self, ex2):
         psi = psi_of(ex2.kappa)
         assert sup_norm(psi, 1.0, 65536) == pytest.approx(math.log(2.0), abs=1e-6)
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_problem_keeps_its_psi_sup(self, pid):
+        problem = builtin_problem(pid)
+        expected = sup_norm(psi_of(problem.kappa), problem.length, PSI_SUP_SAMPLES)
+        assert problem.psi_sup == expected  # exact float equality
+        assert problem.psi_sup is problem.psi_sup
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

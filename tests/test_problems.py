@@ -14,7 +14,7 @@ from ellip1d.norms import ERROR_RULE, tail_bound
 from ellip1d.problems import (BUILTIN_IDS, AccuracyError, Problem, ScalarField, flux_field,
                               series_partial_sums, series_remainders)
 
-from conftest import explicit_tail, field, positive_problems, unit_problem
+from conftest import explicit_tail, field, positive_problems, traced_peak_mb, unit_problem
 
 ALL_IDS = ["ex1", "ex2", "ex3", "ex4"]
 
@@ -92,6 +92,28 @@ class TestTruncatedSeries:
             np.testing.assert_allclose(g_m(neg_psi, m)(xs), expected, atol=1e-13)
 
 
+def stacked_remainders(psi_values, orders):
+    """series_remainders as one cumsum over all its terms stacked, the reference
+    its running sum must match bit for bit."""
+    wanted = set(orders)
+    neg = -np.asarray(psi_values, dtype=float)
+    series = problems.exp_series_terms(neg)
+    terms = [next(series) for _ in range(max(wanted) + 2)]
+    leads = np.min(np.abs([terms[m + 1] for m in wanted]), axis=0)
+    floor = np.finfo(float).eps / 8 * np.exp(np.minimum(neg, 0.0)) * leads
+    while np.any(np.abs(terms[-1]) > floor):
+        terms.append(next(series))
+    tails = np.cumsum(terms[:0:-1], axis=0)[::-1]  # tails[m] = sum_{j>m} t_j
+    return {m: tails[m] for m in wanted}
+
+
+def assert_same_bits(got: dict, expected: dict):
+    assert list(got) == list(expected)
+    for m in expected:
+        assert np.shape(got[m]) == np.shape(expected[m])
+        assert np.asarray(got[m]).tobytes() == np.asarray(expected[m]).tobytes(), m
+
+
 class TestSeriesRemainders:
     def test_matches_explicit_tail(self):
         # the recurrence rounds term j about 2j times, so the error grows
@@ -109,6 +131,26 @@ class TestSeriesRemainders:
         sums, tails = series_partial_sums(psi, orders), series_remainders(psi, orders)
         for m in orders:
             np.testing.assert_allclose(sums[m] + tails[m], np.exp(-psi), rtol=1e-14)
+
+    @pytest.mark.parametrize("orders", [[0], range(1, 9), [3, 12], range(1, 65), range(1, 16)],
+                             ids=["0", "1-8", "3,12", "1-64", "1-15"])
+    @pytest.mark.parametrize("shape", [(1024, 5), (7,)])
+    def test_running_sum_is_the_stacked_cumsum(self, shape, orders):
+        psi = np.random.default_rng(26).uniform(-3.0, 3.0, shape)
+        assert_same_bits(series_remainders(psi, orders), stacked_remainders(psi, orders))
+
+    def test_running_sum_on_the_tail_bound_suite_values(self):
+        # verify's tail-bound suite sums e^x - G_m(-x) at these x, orders 1..15
+        psi = [-x for x in (0.1, 0.5, 1.0, 2.0, 5.0)]
+        for orders in ([0], range(1, 9), [3, 12], range(1, 65), range(1, 16)):
+            assert_same_bits(series_remainders(psi, orders), stacked_remainders(psi, orders))
+
+    @pytest.mark.parametrize("pid", ALL_IDS)
+    def test_peak_allocation_at_the_theorem_points(self, pid, request):
+        # the stacked (K, 1024, 5) array and its cumsum held 2.5-3.1 MB
+        pts = build_mesh(1.0, 2**10).element_points(ERROR_RULE)
+        psi = psi_of(request.getfixturevalue(pid).kappa)(pts)
+        assert traced_peak_mb(lambda: series_remainders(psi, range(1, 9))) < 2.0
 
     def test_zero_log_coefficient_gives_zero(self):
         tails = series_remainders(np.zeros(3), [1, 5])
