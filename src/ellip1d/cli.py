@@ -32,8 +32,7 @@ from .norms import (
     ErrorReport,
     Reference,
     field_errors,
-    fine_grid_h1_error,
-    fine_grid_l2_error,
+    fine_grid_errors,
     h1_seminorm,
     observed_order,
     tail_bound,
@@ -216,9 +215,10 @@ def table_reports(problem, method: Method, n_list, m_list) -> list[ErrorReport]:
     and is scored once for every column, the original method runs once to
     the largest M and takes each column as a prefix sum of its terms, and
     the improved method reads every G_M off one series pass. A row is scored
-    in one field_errors call, which samples the closed form once per mesh.
-    Problems without a closed form are scored against a direct solve on a
-    fine nested mesh, the coarse solution being interpolated onto it.
+    in one call: field_errors samples the closed form once per mesh, and
+    problems without one are scored against a direct solve on a fine nested
+    mesh by fine_grid_errors, which passes over the fine grid once per row
+    and costs O(N) per cell.
     """
     fine = (None if problem.closed_form
             else fem_solve(problem, FINE_GRID_ELEMS, ASSEMBLY_RULE))
@@ -236,8 +236,7 @@ def table_reports(problem, method: Method, n_list, m_list) -> list[ErrorReport]:
         if fine is None:
             scores = field_errors(row[0].mesh, row, problem.exact)
         else:
-            scores = [(fine_grid_l2_error(v, fine), fine_grid_h1_error(v, fine))
-                      for v in row]
+            scores = fine_grid_errors(row[0].mesh, row, fine)
         # the direct solve ignores M: its one score serves every column
         if method is Method.DIRECT:
             scores *= len(orders)

@@ -3,7 +3,11 @@
 L2 and H1-seminorm errors are computed per element with Gauss quadrature
 against an analytic (or semi-analytic) reference. field_errors, the scorer of
 table, bench, solve and verify, samples a reference and its derivative once
-per mesh and scores any number of nodal functions on it. The theory checks
+per mesh and scores any number of nodal functions on it. fine_grid_errors is
+its counterpart for a reference given as a nodal function on a nested finer
+mesh (table's reference for problems without a closed form): it splits each
+error at the coarse nodes, passes over the fine grid once per call and
+costs O(N) per function. The theory checks
 bound the continuous-level truncation error |u - U_M|_H1 by the
 exponential-series tail
 
@@ -31,6 +35,9 @@ __all__ = [
     "BoundViolationError",
     "ERROR_RULE",
     "field_errors",
+    "fine_grid_errors",
+    "fine_grid_l2_error",
+    "fine_grid_h1_error",
     "l2_error",
     "h1_seminorm_error",
     "h1_seminorm",
@@ -186,40 +193,92 @@ def theorem_bound_check(
     return triples
 
 
-def _refinement(coarse: NodalFunction, fine: NodalFunction) -> int:
-    """Fine elements per coarse element; raises ValueError if the meshes do not nest."""
-    if fine.mesh.n_elems % coarse.mesh.n_elems != 0:
-        raise ValueError(
-            f"fine mesh with {fine.mesh.n_elems} elements does not nest "
-            f"{coarse.mesh.n_elems} coarse elements"
-        )
-    return fine.mesh.n_elems // coarse.mesh.n_elems
+def _refinement(mesh: Mesh, fine: Mesh) -> int:
+    """Fine elements per element of mesh; raises ValueError unless fine nests mesh."""
+    if fine.length != mesh.length:
+        raise ValueError(f"fine mesh of length {fine.length} does not nest a mesh "
+                         f"of length {mesh.length}")
+    if fine.n_elems % mesh.n_elems != 0:
+        raise ValueError(f"fine mesh with {fine.n_elems} elements does not nest "
+                         f"{mesh.n_elems} coarse elements")
+    return fine.n_elems // mesh.n_elems
+
+
+def fine_grid_errors(mesh: Mesh, functions, fine: NodalFunction) -> list[tuple[float, float]]:
+    """(L2, H1-seminorm) distance of each nodal function on mesh to a reference
+    solution on a nested finer mesh, exact for the piecewise-linear functions.
+
+    Coarse element k holds r fine elements, H = r h and s_i = i / r. With
+    I_c the interpolant on mesh, each distance I_c U - F splits at the
+    coarse nodes into I_c e + g, e = U - F at the coarse nodes and
+    g = I_c F - F, which vanishes there (the two-level hierarchical
+    splitting, Yserentant, Numer. Math. 49, 1986). Then
+
+        ||I_c e + g||^2 = sum_k [H/3 (e_k^2 + e_k e_k+1 + e_k+1^2)
+                                 + 2 (e_k P_k + e_k+1 Q_k)] + ||g||^2,
+        |I_c e + g|_H1^2 = sum_k (e_k+1 - e_k)^2 / H + h sum (f - m_k)^2,
+
+    with P_k = h sum_i (1 - s_i) g_k,i and Q_k = h sum_i s_i g_k,i the
+    moments of g against the coarse hats, f the fine slopes and m_k their
+    mean on element k (the H1 cross term is zero). g, its moments, ||g||
+    and the slope deviations depend on fine alone: they cost one pass over
+    the fine grid per call, and each function then costs O(mesh.n_elems).
+    g is formed from differences of neighbouring fine values, and f is
+    taken from the fine slopes directly, never by differencing values
+    interpolated onto the fine nodes, which would add rounding of about
+    eps |u| / h to every slope.
+    """
+    if not all(v.mesh.same_as(mesh) for v in functions):
+        raise ValueError(f"nodal functions must live on the {mesh.n_elems}-element mesh")
+    r = _refinement(mesh, fine.mesh)
+    n, h = mesh.n_elems, fine.mesh.h
+    big_h = r * h
+    values = fine.values
+    coarse = values[::r].copy()  # F at the coarse nodes
+    jumps = np.diff(coarse)
+    s = np.arange(r) / r
+    # g at the fine nodes k r + i, i < r, of each coarse element k; g(L) = 0.
+    # The fine-grid passes run in place in two buffers, g and work, so that
+    # a call reuses the heap the previous one freed instead of faulting in
+    # fresh pages. A reshape to (n, r) is a view of its buffer.
+    g = np.repeat(coarse[:-1], r)
+    g -= values[:-1]
+    work = np.repeat(jumps, r)
+    work.reshape(n, r)[...] *= s
+    g += work
+    rows = g.reshape(n, r)
+    p, q = h * (rows @ (1.0 - s)), h * (rows @ s)
+    # a^2 + a b + b^2 over the fine elements, a and b the g at its ends, sums
+    # to sum_j g_j (2 g_j + g_j+1), since g is 0 at x = 0 and x = L
+    np.multiply(g, 2.0, out=work)
+    work[:-1] += g[1:]
+    work *= g
+    g_sq = h / 3.0 * np.sum(work)
+    deviation = np.subtract(values[1:], values[:-1], out=work)  # h f
+    deviation.reshape(n, r)[...] -= (jumps / r)[:, None]  # h (f - m_k)
+    slope_sq = np.sum(np.square(deviation, out=deviation)) / h
+    scores = []
+    for v in functions:
+        e = v.values - coarse
+        a, b = e[:-1], e[1:]
+        l2_sq = (big_h / 3.0 * np.sum(a * a + a * b + b * b)
+                 + 2.0 * np.sum(a * p + b * q) + g_sq)
+        de = np.diff(e)
+        # a distance of 0 up to rounding can come out a hair below 0
+        scores.append((float(np.sqrt(max(l2_sq, 0.0))),
+                       float(np.sqrt(np.sum(de * de) / big_h + slope_sq))))
+    return scores
 
 
 def fine_grid_l2_error(coarse: NodalFunction, fine: NodalFunction) -> float:
-    """L2 distance to a reference solution on a nested finer mesh.
-
-    The coarse solution is interpolated onto the fine nodes (exact, since the
-    meshes nest); the difference is then piecewise linear on the fine mesh and
-    its norm is integrated in closed form.
-    """
-    _refinement(coarse, fine)
-    d = np.interp(fine.mesh.nodes, coarse.mesh.nodes, coarse.values) - fine.values
-    a, b = d[:-1], d[1:]
-    return float(np.sqrt(fine.mesh.h / 3.0 * np.sum(a * a + a * b + b * b)))
+    """L2 distance to a reference solution on a nested finer mesh (fine_grid_errors)."""
+    return fine_grid_errors(coarse.mesh, [coarse], fine)[0][0]
 
 
 def fine_grid_h1_error(coarse: NodalFunction, fine: NodalFunction) -> float:
-    """H1-seminorm distance to a reference solution on a nested finer mesh.
-
-    Each coarse slope is repeated over the fine elements it covers and
-    compared with the fine slopes directly. Interpolating the coarse values
-    onto the fine nodes and differencing them again would add rounding of
-    about eps |u| / h_fine to every fine slope.
-    """
-    r = _refinement(coarse, fine)
-    diff = np.repeat(coarse.derivative_values(), r) - fine.derivative_values()
-    return float(np.sqrt(fine.mesh.h * np.sum(diff * diff)))
+    """H1-seminorm distance to a reference solution on a nested finer mesh
+    (fine_grid_errors)."""
+    return fine_grid_errors(coarse.mesh, [coarse], fine)[0][1]
 
 
 def observed_order(n_values, errors) -> float:

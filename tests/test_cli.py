@@ -15,6 +15,7 @@ from ellip1d.decompose import Method, solve_improved, solve_original
 from ellip1d.norms import (
     ERROR_RULE,
     PSI_SUP_SAMPLES,
+    fine_grid_errors,
     fine_grid_h1_error,
     fine_grid_l2_error,
     h1_seminorm_error,
@@ -181,6 +182,22 @@ class TestTableRowsFromOneRun:
                             fine_grid_h1_error(approx, fine))
             assert (r.l2_error, r.h1_error) == expected, (r.n_elems, r.truncation)
             assert r.method == method.value
+
+
+class TestFineGridRows:
+    @pytest.mark.parametrize("method", list(Method))
+    def test_ex4_scores_each_row_in_one_call(self, method, monkeypatch):
+        calls = []
+
+        def counted(mesh, functions, fine):
+            calls.append((mesh.n_elems, len(functions), fine.mesh.n_elems))
+            return fine_grid_errors(mesh, functions, fine)
+
+        monkeypatch.setattr(cli, "fine_grid_errors", counted)
+        reports = table_reports(builtin_problem("ex4"), method, [8, 16, 32], [2, 4, 6])
+        assert len(reports) == 9
+        per_row = 1 if method is Method.DIRECT else 3
+        assert calls == [(n, per_row, FINE_GRID_ELEMS) for n in (8, 16, 32)]
 
 
 class TestBench:

@@ -4,6 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ellip1d import (
@@ -16,7 +17,7 @@ from ellip1d import (
     tail_bound,
     theorem_bound_check,
 )
-from ellip1d.decompose import solve_improved
+from ellip1d.decompose import solve_improved, solve_original
 from ellip1d.fem import NodalFunction, build_mesh, fem_solve
 from ellip1d.norms import (
     ERROR_RULE,
@@ -24,6 +25,7 @@ from ellip1d.norms import (
     ErrorReport,
     Reference,
     field_errors,
+    fine_grid_errors,
     fine_grid_h1_error,
     fine_grid_l2_error,
     h1_seminorm,
@@ -286,6 +288,89 @@ class TestFineGridErrors:
         reference = np.sqrt(np.sum(d * d) / np.longdouble(fine.mesh.h))
         value = fine_grid_h1_error(coarse, fine)
         assert abs(value - reference) <= 1e-15 * reference
+
+
+def interpolated_errors(coarse, fine, dtype=float):
+    """(L2, H1) distance of coarse to fine in O(N_fine), in dtype: the
+    coarse values interpolated onto every fine node and the piecewise-linear
+    difference integrated there, and each coarse slope repeated over its
+    fine elements against the fine slopes."""
+    r = fine.mesh.n_elems // coarse.mesh.n_elems
+    c, f = coarse.values.astype(dtype), fine.values.astype(dtype)
+    h = dtype(fine.mesh.h)
+    t = np.arange(r, dtype=dtype) / r
+    interp = np.append((c[:-1, None] + (c[1:] - c[:-1])[:, None] * t).ravel(), c[-1])
+    a, b = interp[:-1] - f[:-1], interp[1:] - f[1:]
+    slopes = np.repeat(np.diff(c), r) / (r * h) - np.diff(f) / h
+    return (float(np.sqrt(h / 3 * np.sum(a * a + a * b + b * b))),
+            float(np.sqrt(h * np.sum(slopes * slopes))))
+
+
+@st.composite
+def nested_pairs(draw):
+    """(coarse, fine) nodal functions on nested meshes of one random length:
+    fine samples a random trig polynomial, coarse samples it at its nodes
+    plus a random perturbation of size up to 1."""
+    unit = st.integers(-100, 100).map(lambda i: i / 100)
+    length = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    n, r = draw(st.integers(1, 12)), draw(st.integers(1, 16))
+    c = draw(st.lists(unit, min_size=7, max_size=7))
+    fine_mesh, mesh = build_mesh(length, n * r), build_mesh(length, n)
+
+    def smooth(x):
+        t = np.pi * x / length
+        return c[0] + sum(c[2 * j - 1] * np.cos(j * t) + c[2 * j] * np.sin(j * t)
+                          for j in range(1, 4))
+
+    shift = np.array(draw(st.lists(unit, min_size=n + 1, max_size=n + 1)))
+    return (NodalFunction(mesh, smooth(mesh.nodes) + shift),
+            NodalFunction(fine_mesh, smooth(fine_mesh.nodes)))
+
+
+class TestFineGridSplit:
+    """fine_grid_errors splits each error at the coarse nodes; it must agree
+    with interpolating onto every fine node, to rounding."""
+
+    @pytest.fixture(scope="class")
+    def ex4_fine(self, ex4, rule3):
+        return fem_solve(ex4, 2**15, rule3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_pairs())
+    def test_matches_interpolation_on_random_nested_pairs(self, pair):
+        coarse, fine = pair
+        [(l2, h1)] = fine_grid_errors(coarse.mesh, [coarse], fine)
+        ref_l2, ref_h1 = interpolated_errors(coarse, fine)
+        assert l2 == pytest.approx(ref_l2, rel=1e-12, abs=1e-13)
+        assert h1 == pytest.approx(ref_h1, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("k", range(16))
+    def test_matches_long_double_reference(self, ex4, rule3, ex4_fine, k):
+        n = 2**k
+        row = ([fem_solve(ex4, n, rule3)]
+               + [solve_improved(ex4, n, m, rule3).U_M for m in (1, 4, 12)]
+               + [solve_original(ex4, n, m, rule3).U_M for m in (1, 3, 12)])
+        for v, (l2, h1) in zip(row, fine_grid_errors(row[0].mesh, row, ex4_fine)):
+            ref_l2, ref_h1 = interpolated_errors(v, ex4_fine, np.longdouble)
+            assert abs(l2 - ref_l2) <= 1e-14 * ref_l2
+            assert abs(h1 - ref_h1) <= 1e-14 * ref_h1
+
+    def test_fine_solution_scores_exactly_zero(self, ex4_fine):
+        assert fine_grid_errors(ex4_fine.mesh, [ex4_fine], ex4_fine) == [(0.0, 0.0)]
+
+    def test_rejects_unequal_lengths(self):
+        coarse = NodalFunction(build_mesh(2.0, 4), np.zeros(5))
+        fine = interpolant(lambda x: x, 8)
+        for scorer in (fine_grid_l2_error, fine_grid_h1_error):
+            with pytest.raises(ValueError, match="length 1.0 does not nest .* length 2.0"):
+                scorer(coarse, fine)
+
+    def test_rejects_functions_off_the_mesh(self):
+        fine = interpolant(lambda x: x, 8)
+        with pytest.raises(ValueError, match="4-element mesh"):
+            fine_grid_errors(build_mesh(1.0, 4), [interpolant(lambda x: x, 2)], fine)
 
 
 class TestObservedOrder:
