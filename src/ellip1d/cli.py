@@ -176,11 +176,20 @@ def _emit(lines: list[str], out_path: str | None) -> None:
             fh.write(text)
 
 
-def _run_method(problem, method: Method, n_elems: int, truncation: int):
+def _solutions(problem, method: Method, n_elems: int, orders) -> list:
+    """One approximation per order in orders (ascending), or one alone for direct.
+
+    The original method runs once to the largest order and takes each lower
+    one as a prefix sum of its terms; the improved method reads every G_M
+    off one series pass.
+    """
     if method is Method.DIRECT:
-        return fem_solve(problem, n_elems, ASSEMBLY_RULE)
-    solver = solve_original if method is Method.ORIGINAL else solve_improved
-    return solver(problem, n_elems, truncation, ASSEMBLY_RULE).U_M
+        return [fem_solve(problem, n_elems, ASSEMBLY_RULE)]
+    if method is Method.ORIGINAL:
+        result = solve_original(problem, n_elems, orders[-1], ASSEMBLY_RULE)
+        prefixes = [truncated_sum(result.u0, result.terms[:m]) for m in orders[:-1]]
+        return prefixes + [result.U_M]
+    return solve_improved_orders(problem, n_elems, orders, ASSEMBLY_RULE)[1]
 
 
 def _report_row(report: ErrorReport, fmt: str) -> str:
@@ -197,7 +206,7 @@ def _report_row(report: ErrorReport, fmt: str) -> str:
 
 
 def cmd_solve(args, problem) -> list[str]:
-    approx = _run_method(problem, Method(args.method), args.n_elems, args.truncation)
+    [approx] = _solutions(problem, Method(args.method), args.n_elems, [args.truncation])
     [(l2, h1)] = field_errors(approx.mesh, [approx], problem.exact)
     reference = Reference.CLOSED_FORM if problem.closed_form else Reference.FLUX_ORACLE
     report = ErrorReport(problem=problem.name, method=args.method, n_elems=args.n_elems,
@@ -211,14 +220,12 @@ def cmd_solve(args, problem) -> list[str]:
 def table_reports(problem, method: Method, n_list, m_list) -> list[ErrorReport]:
     """Error grid in row-major (N outer, M inner) order.
 
-    Each row (one N) builds one mesh and one u_0: the direct solve ignores M
-    and is scored once for every column, the original method runs once to
-    the largest M and takes each column as a prefix sum of its terms, and
-    the improved method reads every G_M off one series pass. A row is scored
-    in one call: field_errors samples the closed form once per mesh, and
-    problems without one are scored against a direct solve on a fine nested
-    mesh by fine_grid_errors, which passes over the fine grid once per row
-    and costs O(N) per cell.
+    Each row (one N) is one _solutions call, with one mesh and one u_0: the
+    direct solve ignores M and is scored once for every column. A row is
+    scored in one call: field_errors samples the closed form once per mesh,
+    and problems without one are scored against a direct solve on a fine
+    nested mesh by fine_grid_errors, which passes over the fine grid once per
+    row and costs O(N) per cell.
     """
     fine = (None if problem.closed_form
             else fem_solve(problem, FINE_GRID_ELEMS, ASSEMBLY_RULE))
@@ -226,13 +233,7 @@ def table_reports(problem, method: Method, n_list, m_list) -> list[ErrorReport]:
     orders = sorted(set(m_list))
     reports = []
     for n in n_list:
-        if method is Method.DIRECT:
-            row = [fem_solve(problem, n, ASSEMBLY_RULE)]
-        elif method is Method.ORIGINAL:
-            result = solve_original(problem, n, orders[-1], ASSEMBLY_RULE)
-            row = [truncated_sum(result.u0, result.terms[:m]) for m in orders]
-        else:
-            _, row = solve_improved_orders(problem, n, orders, ASSEMBLY_RULE)
+        row = _solutions(problem, method, n, orders)
         if fine is None:
             scores = field_errors(row[0].mesh, row, problem.exact)
         else:

@@ -113,6 +113,8 @@ class Mesh:
 
 def build_mesh(length: float, n_elems: int) -> Mesh:
     """Uniform mesh with n_elems + 1 equispaced nodes covering [0, length]."""
+    if not np.isfinite(length):
+        raise ValueError(f"domain length must be finite, got {length}")
     if length <= 0:
         raise ValueError(f"domain length must be positive, got {length}")
     if n_elems < 1:

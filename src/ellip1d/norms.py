@@ -172,9 +172,9 @@ def theorem_bound_check(
     u_0' the flux, both sampled once at the ERROR_RULE points of a
     2^10-element mesh; this assumes kappa and f smooth on the scale of
     L / 2^10, as the built-in problems are. ||psi||_inf is problem.psi_sup,
-    sampled once per Problem object and shared with every other check run
-    on it. Returns (M, error, bound) triples; raises BoundViolationError
-    listing every violating M.
+    read off kappa's range when the Problem was validated and shared with
+    every other check run on it. Returns (M, error, bound) triples; raises
+    BoundViolationError listing every violating M.
     """
     if max_truncation < 1:
         raise ValueError(f"need max truncation >= 1, got {max_truncation}")

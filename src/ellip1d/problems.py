@@ -24,7 +24,6 @@ decomposition methods.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -89,11 +88,9 @@ def constant_field(value: float, description: str = "") -> ScalarField:
     )
 
 
-# kappa is checked at this many + 1 equispaced points: the sampled minimum is
-# an upper estimate of the true one, not a certificate of positivity
-_VALIDATION_SAMPLES = 65536
-# ||psi||_inf is sampled at this many equispaced points wherever the theory
-# checks need it
+# kappa is checked, and ||psi||_inf read off its range, at this many
+# equispaced points: the sampled extremes are estimates of the true ones, not
+# a certificate of positivity
 PSI_SUP_SAMPLES = 65536
 
 
@@ -122,8 +119,8 @@ class Problem:
     closed_form says whether exact is a closed-form solution; if not, exact
     is the flux oracle, and error tables score against a fine-grid solve.
     psi_sup is ||psi||_inf, sup_norm(psi_of(kappa), length, PSI_SUP_SAMPLES),
-    sampled on first use and kept on the object, so every check run on one
-    Problem reads the same value from one grid.
+    read off the range of the one sample of kappa that validation takes: log
+    is monotone, so max |log kappa| is at kappa's sampled minimum or maximum.
     """
 
     name: str
@@ -134,21 +131,29 @@ class Problem:
     beta: float
     exact: ScalarField | None = None
     closed_form: bool = False
+    psi_sup: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for label, value in (("length", self.length), ("alpha", self.alpha),
+                             ("beta", self.beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{self.name}: {label} must be finite, got {value}")
         if self.length <= 0:
             raise ValueError(f"domain length must be positive, got {self.length}")
-        kmin = math.inf
-        for grid in _grid_chunks(self.length, _VALIDATION_SAMPLES + 1):
+        kmin, kmax = math.inf, -math.inf
+        for grid in _grid_chunks(self.length, PSI_SUP_SAMPLES):
             kvals = self.kappa(grid)
             if not np.all(np.isfinite(kvals)):
                 raise ValueError(f"{self.name}: coefficient is not finite on [0, L]")
             kmin = min(kmin, float(np.min(kvals)))
+            kmax = max(kmax, float(np.max(kvals)))
         if kmin <= 0.0:
             raise ValueError(
                 f"{self.name}: coefficient must be strictly positive, "
                 f"sampled minimum {kmin}"
             )
+        # np.log, as psi_of takes it, so the value is sup_norm's bit for bit
+        object.__setattr__(self, "psi_sup", float(np.max(np.abs(np.log([kmin, kmax])))))
 
         if self.exact is not None:
             mismatch = abs(self.exact(0.0) - self.alpha)
@@ -163,11 +168,6 @@ class Problem:
                     f"{self.name}: boundary flux of the exact solution is "
                     f"{flux_end:.3e}, expected {self.beta}"
                 )
-
-    @functools.cached_property
-    def psi_sup(self) -> float:
-        """||psi||_inf of the log-coefficient, on PSI_SUP_SAMPLES equispaced points."""
-        return sup_norm(psi_of(self.kappa), self.length, PSI_SUP_SAMPLES)
 
 
 def psi_of(kappa: ScalarField) -> ScalarField:
@@ -186,8 +186,8 @@ def psi_of(kappa: ScalarField) -> ScalarField:
 def sup_norm(field: ScalarField, length: float, n_samples: int) -> float:
     """max |field| over n_samples equispaced points including both endpoints.
 
-    A lower estimate of the true sup; the theory checks read it for psi as
-    Problem.psi_sup. The points are those of np.linspace(0, length,
+    A lower estimate of the true sup; Problem.psi_sup is its value for psi on
+    PSI_SUP_SAMPLES points. The points are those of np.linspace(0, length,
     n_samples), sampled one chunk of fem.BLOCK_ELEMS at a time, and the
     maximum of the chunk maxima is the maximum over the whole grid.
     """

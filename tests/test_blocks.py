@@ -124,8 +124,8 @@ class TestSampleGrids:
     def problem_with(kappa_at_0, kappa_at_end):
         """A Problem whose coefficient is 1 except at x = 0 and x = L = 1.
 
-        65 537 samples make 16 full chunks and a last chunk that holds x = L
-        alone.
+        The 65 536 samples make 16 full chunks, the last of which ends at
+        x = L.
         """
         kappa = field(lambda x: np.where(x == 0.0, kappa_at_0,
                                          np.where(x == 1.0, kappa_at_end, 1.0)))

@@ -14,7 +14,6 @@ from ellip1d.cli import (
 from ellip1d.decompose import Method, solve_improved, solve_original
 from ellip1d.norms import (
     ERROR_RULE,
-    PSI_SUP_SAMPLES,
     fine_grid_errors,
     fine_grid_h1_error,
     fine_grid_l2_error,
@@ -263,12 +262,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2"])
     def test_suites_share_one_psi_sup_grid(self, monkeypatch, capsys, pid):
-        # theorem-bound and factorial-decay both need ||psi||_inf: run on one
-        # Problem they sample its grid once, run on two they sample it twice
+        # theorem-bound and factorial-decay both need ||psi||_inf: they read it
+        # off the Problem's validation sample, so no suite samples a psi grid
+        # and one run samples kappa exactly as often as the suites one by one
         one_run = self.kappa_samples(monkeypatch, capsys, pid)
         suite_by_suite = sum(self.kappa_samples(monkeypatch, capsys, pid, "--suite", name)
                              for name in cli.VERIFY_SUITES)
-        assert one_run == suite_by_suite - PSI_SUP_SAMPLES
+        assert one_run == suite_by_suite
 
     def test_single_suite_equivalence(self, capsys):
         code, out, _ = run_cli(

@@ -46,7 +46,8 @@ class TestBuildMesh:
         mesh = build_mesh(3.0, 17)
         np.testing.assert_allclose(np.diff(mesh.nodes), mesh.h, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("length,n", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -3)])
+    @pytest.mark.parametrize("length,n", [(0.0, 4), (-1.0, 4), (np.nan, 4), (np.inf, 4),
+                                          (1.0, 0), (1.0, -3)])
     def test_rejects_bad_arguments(self, length, n):
         with pytest.raises(ValueError):
             build_mesh(length, n)

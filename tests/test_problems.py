@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad, quad_vec
 
-from ellip1d import builtin_problem, problems, constant_field, exact_solution_via_flux, g_m, psi_of
+from ellip1d import (PSI_SUP_SAMPLES, builtin_problem, problems, constant_field,
+                     exact_solution_via_flux, g_m, psi_of, sup_norm)
 from ellip1d.decompose import semi_analytic_U_M, solve_improved, solve_original
 from ellip1d.fem import QuadratureRule, build_mesh
 from ellip1d.norms import ERROR_RULE, tail_bound
@@ -40,12 +41,13 @@ class TestPsi:
     @pytest.mark.parametrize("solve", [solve_improved, solve_original])
     def test_rejects_dip_between_validation_samples(self, solve):
         # kappa is negative only within 1e-6 of 1/6, which no validation
-        # sample k/65536 reaches but the midpoint Gauss node of element 0 of
-        # a 3-element mesh does: psi_of is the check that catches it
+        # sample k/65535 reaches (the nearest is 7.6e-6 away) but the midpoint
+        # Gauss node of element 0 of a 3-element mesh does: psi_of is the
+        # check that catches it
         dip = field(lambda x: np.where(np.abs(x - 1.0 / 6.0) < 1e-6, -1.0, 1.0))
         problem = Problem(name="dip", length=1.0, kappa=dip, f=constant_field(1.0),
                           alpha=0.0, beta=0.0)
-        assert np.min(dip(np.linspace(0.0, 1.0, 65537))) == 1.0
+        assert np.min(dip(np.linspace(0.0, 1.0, PSI_SUP_SAMPLES))) == 1.0
         with pytest.raises(ValueError, match=r"not positive at x = 0\.16666"):
             solve(problem, 3, 2, QuadratureRule.gauss(3))
 
@@ -240,6 +242,34 @@ class TestProblemValidation:
             Problem(name="bad", length=1.0, kappa=constant_field(1.0),
                     f=constant_field(0.0), alpha=0.0, beta=0.0,
                     exact=field(lambda x: x, derivative=constant_field(1.0)))
+
+    @pytest.mark.parametrize("name", ["length", "alpha", "beta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_data(self, name, bad):
+        data = dict(length=1.0, alpha=0.0, beta=0.0) | {name: bad}
+        with pytest.raises(ValueError, match=f"bad: {name} must be finite"):
+            Problem(name="bad", kappa=constant_field(1.0), f=constant_field(1.0), **data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=positive_problems(max_n=1, psi_amp=2.0))
+    def test_psi_sup_is_the_sup_norm_of_psi(self, case):
+        problem, _ = case
+        expected = sup_norm(psi_of(problem.kappa), problem.length, PSI_SUP_SAMPLES)
+        assert problem.psi_sup == expected  # exact float equality
+
+    def test_kappa_sampled_once(self, ex2):
+        # validation's one sample gives both the positivity check and psi_sup
+        samples = [0]
+
+        def counted(x):
+            samples[0] += x.size
+            return ex2.kappa(x)
+
+        problem = Problem(name="counted", length=1.0, kappa=ScalarField(counted),
+                          f=ex2.f, alpha=ex2.alpha, beta=ex2.beta)
+        assert samples[0] == PSI_SUP_SAMPLES
+        assert problem.psi_sup == ex2.psi_sup
+        assert samples[0] == PSI_SUP_SAMPLES
 
 
 class TestFluxOracle:
