@@ -38,7 +38,8 @@ from .norms import (
     tail_bound,
     theorem_bound_check,
 )
-from .problems import BUILTIN_IDS, AccuracyError, builtin_problem, series_remainders
+from .problems import (BUILTIN_IDS, AccuracyError, builtin_problem, exp_series_terms,
+                       series_remainders)
 
 __all__ = ["main", "run"]
 
@@ -312,9 +313,9 @@ def _suite_factorial_decay(problem, m_list):
     psi_sup = problem.psi_sup
     u0_h1 = h1_seminorm(result.u0)
     lines, ok = [], True
-    allowed = 1.0
-    for j, term in enumerate(result.terms, start=1):
-        allowed *= psi_sup / j
+    allowances = exp_series_terms(psi_sup)  # psi^j / j!, from j = 0
+    next(allowances)
+    for j, (term, allowed) in enumerate(zip(result.terms, allowances), start=1):
         ratio = h1_seminorm(term) / (allowed * u0_h1)
         ok = ok and ratio <= 1.05
         lines.append(f"j={j}: |u_j|_H1 / (psi^j/j! |u0|_H1) = {ratio:.4f}")

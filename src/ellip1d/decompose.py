@@ -57,7 +57,6 @@ from .problems import (
     flux_weighted_antiderivative,
     g_m,
     psi_of,
-    series_partial_sums,
 )
 
 __all__ = [
@@ -179,10 +178,10 @@ def solve_improved_orders(
     """u_0 and the two-solve U_M for every M in truncations, in that order.
 
     psi is evaluated at the quadrature points once, one element block at a
-    time (fem.element_blocks), and every G_M is read off one pass of the
-    series recurrence per block; each distinct M then costs one series
-    weight Q_e(G_M) and one sweep of u_0's fluxes. Every U_M is
-    bit-identical to a run of its order alone.
+    time (fem.element_blocks), and one running sum of exp_series_terms(-psi)
+    from 0.0 passes through every G_M of the block, adding as g_m does; each
+    distinct M then costs one series weight Q_e(G_M) and one sweep of u_0's
+    fluxes. Every U_M is bit-identical to a run of its order alone.
     """
     if min(truncations) < 1:
         raise ValueError(f"truncation order must be >= 1, got {min(truncations)}")
@@ -190,8 +189,12 @@ def solve_improved_orders(
     psi = psi_of(problem.kappa)
     weights = {m: np.empty(n_elems) for m in truncations}  # Q_e(G_M) for every order M
     for elems, pts in element_blocks(u0.mesh, rule):
-        for m, g in series_partial_sums(psi(pts), truncations).items():
-            weights[m][elems] = g @ rule.weights
+        series = exp_series_terms(-psi(pts))
+        g = 0.0  # G_j at the block's quadrature points once term j is added
+        for j in range(max(weights) + 1):
+            g = g + next(series)
+            if j in weights:
+                weights[j][elems] = g @ rule.weights
     totals = {m: flux_sweep(u0.mesh, flux, w, problem.alpha) for m, w in weights.items()}
     return u0, [totals[m] for m in truncations]
 

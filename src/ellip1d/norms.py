@@ -20,14 +20,15 @@ truncation error in remainder form so that nothing cancels.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import Mesh, NodalFunction, QuadratureRule, build_mesh, element_blocks
-from .problems import (PSI_SUP_SAMPLES, Problem, ScalarField, flux_field, psi_of,
-                       series_remainders, sup_norm)
+from .problems import (PSI_SUP_SAMPLES, Problem, ScalarField, exp_series_terms, flux_field,
+                       psi_of, series_remainders, sup_norm)
 
 __all__ = [
     "Reference",
@@ -136,14 +137,12 @@ def h1_seminorm(v: NodalFunction) -> float:
 
 
 def tail_bound(psi_sup: float, truncation: int) -> float:
-    """Series-tail bound psi_sup^(M+1) / (M+1)! * exp(psi_sup)."""
+    """Series-tail bound psi_sup^(M+1) / (M+1)! * exp(psi_sup), from exp_series_terms."""
     if psi_sup < 0:
         raise ValueError(f"sup norm cannot be negative, got {psi_sup}")
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
-    term = 1.0
-    for j in range(1, truncation + 2):
-        term *= psi_sup / j
+    term = next(itertools.islice(exp_series_terms(psi_sup), truncation + 1, None))
     return term * math.exp(psi_sup)
 
 

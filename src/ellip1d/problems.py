@@ -175,8 +175,8 @@ def psi_of(kappa: ScalarField) -> ScalarField:
 
     def fn(x):
         kvals = np.broadcast_to(np.asarray(kappa(x), dtype=float), x.shape)
-        if np.any(kvals <= 0.0):
-            bad = float(np.asarray(x).ravel()[np.argmax(kvals.ravel() <= 0.0)])
+        if not np.all(kvals > 0.0):  # NaN fails the test too
+            bad = float(np.asarray(x).ravel()[np.argmax(~(kvals.ravel() > 0.0))])
             raise ValueError(f"coefficient is not positive at x = {bad}")
         return np.log(kvals)
 
@@ -199,34 +199,18 @@ def sup_norm(field: ScalarField, length: float, n_samples: int) -> float:
     return float(peak)
 
 
-def exp_series_terms(x: np.ndarray):
+def exp_series_terms(x):
     """x^j / j! for j = 0, 1, 2, ..., each term from the last as term * x / j.
 
-    No term touches an explicit factorial, so any order stays finite.
+    The package's one computation of x^j / j! (G_M, R_M, the recursion's
+    moments, tail_bound, verify's factorial-decay allowances); no explicit
+    factorial, so any order stays finite. Term 0 is the float 1.0, so a
+    float x yields floats and an array x arrays from j = 1 on.
     """
-    term = np.ones_like(x)
+    term = 1.0
     for j in itertools.count(1):
         yield term
         term = term * x / j
-
-
-def series_partial_sums(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
-    """G_m = sum_{j=0}^m (-psi)^j / j! at psi_values, for every m in orders.
-
-    One pass over exp_series_terms(-psi) up to max(orders), keyed by order;
-    each G_m is the same array whichever other orders share the pass.
-    """
-    wanted = set(orders)
-    if min(wanted) < 0:
-        raise ValueError(f"truncation order must be nonnegative, got {min(wanted)}")
-    terms = exp_series_terms(-np.asarray(psi_values, dtype=float))
-    total = next(terms)
-    sums = {0: total} if 0 in wanted else {}
-    for j in range(1, max(wanted) + 1):
-        total = total + next(terms)
-        if j in wanted:
-            sums[j] = total
-    return sums
 
 
 def series_remainders(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
@@ -263,13 +247,15 @@ def series_remainders(psi_values: np.ndarray, orders) -> dict[int, np.ndarray]:
 
 
 def g_m(psi: ScalarField, m: int) -> ScalarField:
-    """Partial sum sum_{j=0}^m (-psi)^j / j! of the reciprocal-coefficient series."""
+    """Partial sum sum_{j=0}^m (-psi)^j / j! of the reciprocal-coefficient series.
+
+    The first m + 1 terms of exp_series_terms(-psi), added in order from 0.0.
+    """
     if m < 0:
         raise ValueError(f"truncation order must be nonnegative, got {m}")
 
     def fn(x):
-        p = np.broadcast_to(np.asarray(psi(x), dtype=float), x.shape)
-        return series_partial_sums(p, [m])[m]
+        return sum(itertools.islice(exp_series_terms(-psi(x)), m + 1))
 
     return ScalarField(fn, f"truncated exp(-psi), {m + 1} terms")
 

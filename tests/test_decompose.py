@@ -18,12 +18,14 @@ from ellip1d.fem import (
     ASSEMBLY_RULE,
     BLOCK_ELEMS,
     assemble_gradient_load,
+    assemble_load,
     assemble_stiffness,
     build_mesh,
     flux_sweep,
+    load_flux,
 )
 from ellip1d.norms import h1_seminorm, sup_norm
-from ellip1d.problems import ScalarField, exp_series_terms, series_partial_sums
+from ellip1d.problems import ScalarField, exp_series_terms
 
 from conftest import field, positive_problems, tridiagonal_matvec, unit_problem
 
@@ -305,17 +307,21 @@ class TestMomentIdentities:
 
 
 class TestOneRunManyOrders:
-    def test_series_snapshots_match_g_m(self, ex2):
-        psi = psi_of(ex2.kappa)
-        x = np.linspace(0.0, 1.0, 301)
-        sums = series_partial_sums(psi(x), [7, 0, 3, 7])
-        assert sorted(sums) == [0, 3, 7]
-        for m, values in sums.items():
-            np.testing.assert_array_equal(values, g_m(psi, m)(x))
-
-    def test_series_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            series_partial_sums(np.zeros(3), [2, -1])
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_improved_weights_are_gauss_means_of_g_m(self, rule3, pid, request):
+        # one running sum per element block gives Q_e(g_m(psi, M)) bit for bit,
+        # on a mesh of three full blocks and a partial fourth
+        problem = request.getfixturevalue(pid)
+        n = 3 * BLOCK_ELEMS + 7
+        orders = [1, 4, 12]
+        _, totals = solve_improved_orders(problem, n, orders, rule3)
+        mesh = build_mesh(problem.length, n)
+        flux = load_flux(assemble_load(mesh, problem.f, rule3, beta=problem.beta))
+        psi = psi_of(problem.kappa)
+        for m, total in zip(orders, totals):
+            weight = g_m(psi, m)(mesh.element_points(rule3)) @ rule3.weights
+            expected = flux_sweep(mesh, flux, weight, problem.alpha)
+            np.testing.assert_array_equal(total.values, expected.values)
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
     def test_improved_orders_bit_identical_to_single_runs(self, rule3, pid, request):

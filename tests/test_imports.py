@@ -2,7 +2,8 @@
 
 The theorem-bound check integrates with the error norms' Gauss rule and the
 references are Chebyshev antiderivatives, so the adaptive integrator is
-public API only; importing the package must not load it.
+public API only; importing the package must not load it. numpy is the one
+runtime dependency, so importing the CLI must not load scipy either.
 """
 
 import ast
@@ -51,10 +52,12 @@ def test_module_does_not_import_integrate(path):
 def test_package_import_leaves_integrate_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = "import sys, ellip1d.cli; print(sorted(m for m in sys.modules if m.startswith('ellip1d')))"
+    probe = ("import sys, ellip1d.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('ellip1d', 'scipy')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     loaded = done.stdout.strip()
     assert "'ellip1d.cli'" in loaded
     assert "ellip1d.integrate" not in loaded
+    assert "scipy" not in loaded  # numpy is the one runtime dependency

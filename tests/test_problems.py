@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -13,7 +14,7 @@ from ellip1d.decompose import semi_analytic_U_M, solve_improved, solve_original
 from ellip1d.fem import QuadratureRule, build_mesh
 from ellip1d.norms import ERROR_RULE, tail_bound
 from ellip1d.problems import (BUILTIN_IDS, AccuracyError, Problem, ScalarField, flux_field,
-                              series_partial_sums, series_remainders)
+                              series_remainders)
 
 from conftest import explicit_tail, field, positive_problems, traced_peak_mb, unit_problem
 
@@ -51,6 +52,16 @@ class TestPsi:
         with pytest.raises(ValueError, match=r"not positive at x = 0\.16666"):
             solve(problem, 3, 2, QuadratureRule.gauss(3))
 
+    @pytest.mark.parametrize("solve", [solve_improved, solve_original])
+    def test_rejects_nan_between_validation_samples(self, solve):
+        # as above, with kappa NaN instead of negative near 1/6: NaN <= 0 is
+        # false, so a test for non-positive values lets it through as log(NaN)
+        hole = field(lambda x: np.where(np.abs(x - 1.0 / 6.0) < 1e-6, np.nan, 1.0))
+        problem = Problem(name="hole", length=1.0, kappa=hole, f=constant_field(1.0),
+                          alpha=0.0, beta=0.0)
+        with pytest.raises(ValueError, match=r"not positive at x = 0\.16666"):
+            solve(problem, 3, 2, QuadratureRule.gauss(3))
+
 
 class TestTruncatedSeries:
     def test_zero_log_coefficient(self):
@@ -72,6 +83,16 @@ class TestTruncatedSeries:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             g_m(constant_field(1.0), -1)
+
+    def test_float_terms_stay_python_floats(self):
+        # the scalar path (tail_bound, verify's allowances) gives the array
+        # path's terms, element by element
+        xs = np.array([-3.5, -1.0, -0.1, 0.0, 0.3, 1.0, 2.7, 9.0])
+        arrays = list(itertools.islice(problems.exp_series_terms(xs), 40))
+        for k, x in enumerate(xs):
+            floats = list(itertools.islice(problems.exp_series_terms(float(x)), 40))
+            assert all(type(t) is float for t in floats)
+            assert floats == [arrays[0]] + [t[k] for t in arrays[1:]]
 
     @pytest.mark.parametrize("pid", ALL_IDS)
     def test_remainder_bound(self, pid, request):
@@ -130,9 +151,10 @@ class TestSeriesRemainders:
         # G_m + R_m = e^-psi for every m, with no cancellation inside R_m
         psi = np.linspace(-2.0, 2.0, 41)
         orders = [0, 1, 4, 9, 30]
-        sums, tails = series_partial_sums(psi, orders), series_remainders(psi, orders)
+        tails = series_remainders(psi, orders)
         for m in orders:
-            np.testing.assert_allclose(sums[m] + tails[m], np.exp(-psi), rtol=1e-14)
+            partial = g_m(ScalarField(lambda x: x), m)(psi)  # G_m at these psi values
+            np.testing.assert_allclose(partial + tails[m], np.exp(-psi), rtol=1e-14)
 
     @pytest.mark.parametrize("orders", [[0], range(1, 9), [3, 12], range(1, 65), range(1, 16)],
                              ids=["0", "1-8", "3,12", "1-64", "1-15"])
