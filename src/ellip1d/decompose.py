@@ -14,8 +14,9 @@ G_M = sum_{j<=M} (-psi)^j/j!:
 
     (U_M', v') = (G_M u_0', v'),   U_M(0) = alpha.
 
-Each method turns the assembled load of the data into element fluxes F once
-(fem.load_flux, one reverse cumsum), and every solve is one flux sweep
+Like the direct method, each method reads its data through fem.data_flux
+(the element fluxes F of the assembled load) and psi as the log of
+fem.kappa_blocks' checked values of kappa. Every solve is one flux sweep
 (fem.flux_sweep, one forward cumsum from the boundary value): slope w_e F_e
 on element e for a per-element weight w_e. u_0 is the sweep of F with
 weight 1, and U_M = sum_{j<=M} u_j is the sweep of the same F with weight
@@ -40,16 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (
-    NodalFunction,
-    QuadratureRule,
-    assemble_load,
-    build_mesh,
-    element_blocks,
-    flux_sweep,
-    load_flux,
-    sweep_rows,
-)
+from .fem import NodalFunction, QuadratureRule, data_flux, flux_sweep, kappa_blocks, sweep_rows
 from .problems import (
     Problem,
     ScalarField,
@@ -97,18 +89,10 @@ class DecompositionResult:
     factorization_count: int
 
 
-def _u0_and_flux(
-    problem: Problem, n_elems: int, rule: QuadratureRule
-) -> tuple[NodalFunction, np.ndarray]:
-    """u_0 and the element fluxes F of the data it is swept from."""
-    mesh = build_mesh(problem.length, n_elems)
-    flux = load_flux(assemble_load(mesh, problem.f, rule, beta=problem.beta))
-    return flux_sweep(mesh, flux, 1.0, problem.alpha), flux
-
-
 def solve_u0(problem: Problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:
     """Galerkin solution of the unit-coefficient problem with the same data."""
-    return _u0_and_flux(problem, n_elems, rule)[0]
+    mesh, flux = data_flux(problem, n_elems, rule)
+    return flux_sweep(mesh, flux, 1.0, problem.alpha)
 
 
 def solve_original(
@@ -129,17 +113,17 @@ def solve_original(
     """
     if truncation < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation}")
-    u0, _ = _u0_and_flux(problem, n_elems, rule)
-    psi = psi_of(problem.kappa)
+    mesh, flux = data_flux(problem, n_elems, rule)
+    u0 = flux_sweep(mesh, flux, 1.0, problem.alpha)
     u0_slope = u0.derivative_values()
     # row m - 1: term u_m, with u_m(0) = 0 in column 0; columns 1..N first hold
     # the flux c_m it is swept from, which is also its slope u_m'
     values = np.zeros((truncation, n_elems + 1))
-    for elems, pts in element_blocks(u0.mesh, rule):
+    for elems, kvals in kappa_blocks(mesh, problem.kappa, rule):
         # slopes[j] is u_j' on the block
         slopes = [u0_slope[elems], *values[:, elems.start + 1:elems.stop + 1]]
         # psi^j / j! at the block's quadrature points; mu_j needs them from j = 1 on
-        powers = exp_series_terms(psi(pts))
+        powers = exp_series_terms(np.log(kvals))
         next(powers)
         moments: list[np.ndarray] = []  # mu_1 ... mu_m on the block
         for m in range(1, truncation + 1):
@@ -148,7 +132,7 @@ def solve_original(
             for mu, slope in zip(moments, slopes[m - 1::-1]):  # mu_j u_{m-j}'
                 flux -= mu * slope
     # a sweep with weight 1 has slope flux
-    terms = [NodalFunction(u0.mesh, row) for row in sweep_rows(values, u0.mesh.h)]
+    terms = [NodalFunction(mesh, row) for row in sweep_rows(values, mesh.h)]
 
     return DecompositionResult(
         u0=u0,
@@ -177,26 +161,25 @@ def solve_improved_orders(
 ) -> tuple[NodalFunction, list[NodalFunction]]:
     """u_0 and the two-solve U_M for every M in truncations, in that order.
 
-    psi is evaluated at the quadrature points once, one element block at a
-    time (fem.element_blocks), and one running sum of exp_series_terms(-psi)
+    psi = log kappa is taken at the quadrature points once, one element block
+    at a time (fem.kappa_blocks), and one running sum of exp_series_terms(-psi)
     from 0.0 passes through every G_M of the block, adding as g_m does; each
     distinct M then costs one series weight Q_e(G_M) and one sweep of u_0's
     fluxes. Every U_M is bit-identical to a run of its order alone.
     """
     if min(truncations) < 1:
         raise ValueError(f"truncation order must be >= 1, got {min(truncations)}")
-    u0, flux = _u0_and_flux(problem, n_elems, rule)
-    psi = psi_of(problem.kappa)
+    mesh, flux = data_flux(problem, n_elems, rule)
     weights = {m: np.empty(n_elems) for m in truncations}  # Q_e(G_M) for every order M
-    for elems, pts in element_blocks(u0.mesh, rule):
-        series = exp_series_terms(-psi(pts))
+    for elems, kvals in kappa_blocks(mesh, problem.kappa, rule):
+        series = exp_series_terms(-np.log(kvals))
         g = 0.0  # G_j at the block's quadrature points once term j is added
         for j in range(max(weights) + 1):
             g = g + next(series)
             if j in weights:
                 weights[j][elems] = g @ rule.weights
-    totals = {m: flux_sweep(u0.mesh, flux, w, problem.alpha) for m, w in weights.items()}
-    return u0, [totals[m] for m in truncations]
+    totals = {m: flux_sweep(mesh, flux, w, problem.alpha) for m, w in weights.items()}
+    return flux_sweep(mesh, flux, 1.0, problem.alpha), [totals[m] for m in truncations]
 
 
 def solve_improved(

@@ -21,12 +21,14 @@ u_{e+1} - u_e = h w_e F_e from u(0) = alpha with one forward cumsum: the
 direct method sweeps with weight w_e = 1 / Q_e(kappa), every
 unit-coefficient problem with weight 1. sweep_rows is that sweep in place,
 on rows that already hold u(0) and the fluxes, so that many sweeps share
-one array. With exact element integrals, 1D P1 Galerkin solutions are
-nodally exact (Tong, AIAA J. 7, 1969); the two sums add only their own
-rounding, not the N^2 eps growth of elimination. The
-stiffness matrix, the node-vector gradient loads and the Thomas-algorithm
-solver (factorize, solve_tridiagonal) stay as references for tests; no solve
-path uses them.
+one array. Every solver, direct or series, reads its data through
+data_flux (the mesh and the fluxes F) and kappa through kappa_blocks,
+which checks it finite and positive at every Gauss point. With exact
+element integrals, 1D P1 Galerkin solutions are nodally exact (Tong,
+AIAA J. 7, 1969); the two sums add only their own rounding, not the N^2
+eps growth of elimination. The stiffness matrix, the node-vector gradient
+loads and the Thomas-algorithm solver (factorize, solve_tridiagonal) stay as
+references for tests; no solve path uses them.
 
 Arrays over element quadrature points (Mesh.element_points,
 NodalFunction.at_quadrature, and every coefficient evaluated on them) have
@@ -67,6 +69,8 @@ __all__ = [
     "assemble_load",
     "assemble_gradient_load",
     "load_flux",
+    "data_flux",
+    "kappa_blocks",
     "apply_dirichlet",
     "factorize",
     "solve_tridiagonal",
@@ -77,7 +81,8 @@ __all__ = [
 
 
 class AssemblyError(ValueError):
-    """A coefficient or source evaluated to a non-finite value during assembly."""
+    """A coefficient or source evaluated to a non-finite value during assembly,
+    or kappa to a non-positive one."""
 
 
 class SingularSystemError(ArithmeticError):
@@ -200,13 +205,27 @@ class TridiagonalSystem:
     rhs: np.ndarray
 
 
-def _coeff_at_points(coeff, pts: np.ndarray, what: str, first: int = 0) -> np.ndarray:
-    """coeff at pts, the points of the elements first, first + 1, ..."""
+def _coeff_at_points(
+    coeff, pts: np.ndarray, what: str, first: int = 0, positive: bool = False
+) -> np.ndarray:
+    """coeff at pts, the points of the elements first, first + 1, ..., all
+    finite, and with positive also > 0, or AssemblyError names the element."""
     vals = np.broadcast_to(np.asarray(coeff(pts), dtype=float), pts.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = first + int(np.argwhere(~np.isfinite(vals))[0][0])
-        raise AssemblyError(f"{what} evaluated to a non-finite value on element {bad}")
+    ok = np.isfinite(vals) & (vals > 0.0) if positive else np.isfinite(vals)
+    if not np.all(ok):
+        bad = first + int(np.argwhere(~ok)[0][0])
+        kind = "a non-finite or non-positive" if positive else "a non-finite"
+        raise AssemblyError(f"{what} evaluated to {kind} value on element {bad}")
     return vals
+
+
+def kappa_blocks(mesh: Mesh, kappa, rule: QuadratureRule):
+    """(element slice, kappa at its quadrature points), block by block, as
+    every solver reads it; AssemblyError names the first element where kappa
+    is not finite and positive (so its Gauss means are positive too)."""
+    for elems, pts in element_blocks(mesh, rule):
+        yield elems, _coeff_at_points(kappa, pts, "stiffness coefficient", elems.start,
+                                      positive=True)
 
 
 def assemble_stiffness(mesh: Mesh, coeff, rule: QuadratureRule) -> TridiagonalSystem:
@@ -235,15 +254,12 @@ def assemble_load(mesh: Mesh, f, rule: QuadratureRule, beta: float = 0.0) -> np.
     """Load vector of int f v dx - beta v(L) against the hat basis."""
     t = rule.points
     left_weights, right_weights = rule.weights * (1.0 - t), rule.weights * t
-    left, right = np.empty(mesh.n_elems), np.empty(mesh.n_elems)
+    out = np.zeros(mesh.n_elems + 1)
     for elems, pts in element_blocks(mesh, rule):
         fvals = _coeff_at_points(f, pts, "load function", elems.start)
-        left[elems] = mesh.h * (fvals @ left_weights)
-        right[elems] = mesh.h * (fvals @ right_weights)
-
-    out = np.zeros(mesh.n_elems + 1)
-    out[:-1] += left
-    out[1:] += right
+        # element e's left-hat integral goes to node e, its right-hat one to e + 1
+        out[elems] += mesh.h * (fvals @ left_weights)
+        out[elems.start + 1:elems.stop + 1] += mesh.h * (fvals @ right_weights)
     out[-1] -= beta
     return out
 
@@ -386,24 +402,21 @@ def flux_sweep(mesh: Mesh, flux: np.ndarray, weight, alpha: float) -> NodalFunct
     return NodalFunction(mesh, sweep_rows(values, mesh.h * weight))
 
 
+def data_flux(problem, n_elems: int, rule: QuadratureRule) -> tuple[Mesh, np.ndarray]:
+    """The mesh and the element fluxes F of the data that every method sweeps."""
+    mesh = build_mesh(problem.length, n_elems)
+    return mesh, load_flux(assemble_load(mesh, problem.f, rule, beta=problem.beta))
+
+
 def fem_solve(problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:
     """Galerkin solution of the full variable-coefficient problem.
 
     This is the direct (non-decomposed) reference method: one flux sweep of
-    the load's fluxes with weight 1 / Q_e(kappa), the reciprocal of each
+    the data fluxes with weight 1 / Q_e(kappa), the reciprocal of each
     element's Gauss mean of the true coefficient.
     """
-    mesh = build_mesh(problem.length, n_elems)
+    mesh, flux = data_flux(problem, n_elems, rule)
     mean = np.empty(n_elems)
-    for elems, pts in element_blocks(mesh, rule):
-        kvals = _coeff_at_points(problem.kappa, pts, "stiffness coefficient", elems.start)
+    for elems, kvals in kappa_blocks(mesh, problem.kappa, rule):
         mean[elems] = kvals @ rule.weights
-    bad = ~(np.isfinite(mean) & (mean > 0.0))
-    if bad.any():
-        e = int(np.argmax(bad))
-        raise ValueError(
-            f"element {e} has mean conductance {mean[e]!r}; "
-            "the direct solve needs every element mean of kappa finite and positive"
-        )
-    rhs = assemble_load(mesh, problem.f, rule, beta=problem.beta)
-    return flux_sweep(mesh, load_flux(rhs), 1.0 / mean, problem.alpha)
+    return flux_sweep(mesh, flux, 1.0 / mean, problem.alpha)

@@ -171,13 +171,14 @@ class Problem:
 
 
 def psi_of(kappa: ScalarField) -> ScalarField:
-    """Pointwise log of a strictly positive coefficient."""
+    """Pointwise log of a finite, strictly positive coefficient."""
 
     def fn(x):
         kvals = np.broadcast_to(np.asarray(kappa(x), dtype=float), x.shape)
-        if not np.all(kvals > 0.0):  # NaN fails the test too
-            bad = float(np.asarray(x).ravel()[np.argmax(~(kvals.ravel() > 0.0))])
-            raise ValueError(f"coefficient is not positive at x = {bad}")
+        ok = np.isfinite(kvals) & (kvals > 0.0)  # NaN fails both tests
+        if not np.all(ok):
+            bad = float(np.asarray(x).ravel()[np.argmax(~ok.ravel())])
+            raise ValueError(f"coefficient is not finite and positive at x = {bad}")
         return np.log(kvals)
 
     return ScalarField(fn, f"log({kappa.description or 'coefficient'})")

@@ -15,7 +15,8 @@ import pytest
 
 from ellip1d import builtin_problem, constant_field, fem, psi_of
 from ellip1d.decompose import solve_improved, solve_original, solve_u0
-from ellip1d.fem import ASSEMBLY_RULE, BLOCK_ELEMS, build_mesh, element_blocks, fem_solve
+from ellip1d.fem import (ASSEMBLY_RULE, BLOCK_ELEMS, assemble_load, build_mesh, element_blocks,
+                         fem_solve)
 from ellip1d.norms import field_errors, sup_norm
 from ellip1d.problems import Problem
 
@@ -74,10 +75,13 @@ def test_blocked_passes_match_one_block(pid, n, request, monkeypatch):
 
 
 # one whole-mesh pass kept (2^16, 5) point arrays and their temporaries:
-# 13.6 MB for field_errors and 9.4 MB for solve_improved on ex2
+# 13.6 MB for field_errors and 9.4 MB for solve_improved on ex2; assemble_load's
+# whole-mesh left and right halves took it to 1.69 MB next to its 0.5 MB vector
 @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
 def test_peak_allocation_stays_block_sized(pid, request):
     problem, n = request.getfixturevalue(pid), 2**16
+    mesh = build_mesh(problem.length, n)
+    assert traced_peak_mb(lambda: assemble_load(mesh, problem.f, ASSEMBLY_RULE)) < 1.2
     assert traced_peak_mb(lambda: solve_improved(problem, n, 10, ASSEMBLY_RULE)) < 4.0
     u = solve_improved(problem, n, 10, ASSEMBLY_RULE).U_M
     assert traced_peak_mb(lambda: field_errors(u.mesh, [u], problem.exact)) < 4.0

@@ -302,8 +302,7 @@ def _assembled(problem, n, rule):
 class TestFluxSweep:
     RULE = QuadratureRule.gauss(3)
 
-    # the direct solve checks each element's Gauss mean of kappa; a
-    # non-finite value is already named where kappa is evaluated
+    # the direct solve checks kappa at every Gauss point, where it is evaluated
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_conductance_not_finite_positive(self, bad):
         def kappa(x):
@@ -501,18 +500,17 @@ class TestBlockedElementIndex:
         with pytest.raises(AssemblyError, match=message):
             solve_u0(unit_problem(f=f), self.N, rule3)
 
-    def test_nonfinite_kappa_in_fem_solve(self, rule3):
-        # a Problem would reject this kappa on construction
-        problem = SimpleNamespace(length=1.0, kappa=self.bad_at(np.nan, rule3),
+    @pytest.mark.parametrize("solve", [fem_solve, solve_improved, solve_original])
+    @pytest.mark.parametrize("bad", [-0.5, -1e3, 0.0, np.inf, np.nan])
+    def test_bad_kappa_in_every_solver(self, rule3, solve, bad):
+        # kappa is bad at one Gauss point only; every method reads kappa through
+        # fem.kappa_blocks, so every one raises the same error for it
+        problem = SimpleNamespace(length=1.0, kappa=self.bad_at(bad, rule3),
                                   f=constant_field(1.0), alpha=0.0, beta=0.0)
-        with pytest.raises(AssemblyError, match=rf"stiffness .* on element {self.E}$"):
-            fem_solve(problem, self.N, rule3)
-
-    def test_nonpositive_mean_in_fem_solve(self, rule3):
-        problem = SimpleNamespace(length=1.0, kappa=self.bad_at(-1e3, rule3),
-                                  f=constant_field(1.0), alpha=0.0, beta=0.0)
-        with pytest.raises(ValueError, match=rf"^element {self.E} has mean conductance"):
-            fem_solve(problem, self.N, rule3)
+        truncation = () if solve is fem_solve else (2,)
+        with pytest.raises(AssemblyError,
+                           match=rf"stiffness coefficient .* on element {self.E}$"):
+            solve(problem, self.N, *truncation, rule3)
 
 
 class TestConcurrentUse:

@@ -12,7 +12,7 @@ from ellip1d import (PSI_SUP_SAMPLES, builtin_problem, problems, constant_field,
                      exact_solution_via_flux, g_m, psi_of, sup_norm)
 from ellip1d.decompose import semi_analytic_U_M, solve_improved, solve_original
 from ellip1d.fem import QuadratureRule, build_mesh
-from ellip1d.norms import ERROR_RULE, tail_bound
+from ellip1d.norms import ERROR_RULE, tail_bound, theorem_bound_check
 from ellip1d.problems import (BUILTIN_IDS, AccuracyError, Problem, ScalarField, flux_field,
                               series_remainders)
 
@@ -43,13 +43,13 @@ class TestPsi:
     def test_rejects_dip_between_validation_samples(self, solve):
         # kappa is negative only within 1e-6 of 1/6, which no validation
         # sample k/65535 reaches (the nearest is 7.6e-6 away) but the midpoint
-        # Gauss node of element 0 of a 3-element mesh does: psi_of is the
-        # check that catches it
+        # Gauss node of element 0 of a 3-element mesh does: fem.kappa_blocks
+        # is the check that catches it
         dip = field(lambda x: np.where(np.abs(x - 1.0 / 6.0) < 1e-6, -1.0, 1.0))
         problem = Problem(name="dip", length=1.0, kappa=dip, f=constant_field(1.0),
                           alpha=0.0, beta=0.0)
         assert np.min(dip(np.linspace(0.0, 1.0, PSI_SUP_SAMPLES))) == 1.0
-        with pytest.raises(ValueError, match=r"not positive at x = 0\.16666"):
+        with pytest.raises(ValueError, match=r"stiffness coefficient .* on element 0$"):
             solve(problem, 3, 2, QuadratureRule.gauss(3))
 
     @pytest.mark.parametrize("solve", [solve_improved, solve_original])
@@ -59,8 +59,24 @@ class TestPsi:
         hole = field(lambda x: np.where(np.abs(x - 1.0 / 6.0) < 1e-6, np.nan, 1.0))
         problem = Problem(name="hole", length=1.0, kappa=hole, f=constant_field(1.0),
                           alpha=0.0, beta=0.0)
-        with pytest.raises(ValueError, match=r"not positive at x = 0\.16666"):
+        with pytest.raises(ValueError, match=r"stiffness coefficient .* on element 0$"):
             solve(problem, 3, 2, QuadratureRule.gauss(3))
+
+    def test_rejects_inf_between_validation_samples(self):
+        # kappa is +inf only within 1e-9 of x0, the midpoint Gauss node of
+        # element 100 of the theorem check's 2^10-element mesh; no validation
+        # sample lies within 1.5e-6 of it. +inf > 0 holds, so a positivity test
+        # alone gives psi = inf there and the theorem check NaN errors, which
+        # pass any bound
+        x0 = 0.09814453125
+        spike = field(lambda x: np.where(np.abs(x - x0) < 1e-9, np.inf, 1.0 + x * x))
+        problem = Problem(name="spike", length=1.0, kappa=spike, f=constant_field(1.0),
+                          alpha=0.0, beta=0.0)
+        message = r"not finite and positive at x = 0\.09814453125$"
+        with pytest.raises(ValueError, match=message):
+            psi_of(spike)(np.array([0.5, x0]))
+        with pytest.raises(ValueError, match=message):
+            theorem_bound_check(problem, 3)
 
 
 class TestTruncatedSeries:
