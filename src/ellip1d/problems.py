@@ -261,22 +261,22 @@ def g_m(psi: ScalarField, m: int) -> ScalarField:
     return ScalarField(fn, f"truncated exp(-psi), {m + 1} terms")
 
 
-_CHEB_START = 16  # first interpolation degree tried on [0, L]
-_CHEB_CAP = 64  # highest degree of one panel; a field unresolved at it is bisected
+_CHEB_DEGREE = 64  # degree of every panel; a panel unresolved at it is bisected
 _PANEL_BUDGET = 128  # most panels of one field: 8320 samples, about one degree-8192 fit
 _MIN_PANEL = 2.0**-30  # narrowest panel, as a fraction of L
 _CHEB_TAIL = 4.0  # trailing coefficients must fall below this many eps of the scale
 _EPS = float(np.finfo(float).eps)
 
 
-def _fit(fn: ScalarField, lefts, rights, n: int, name: str, length: float):
-    """Degree-n Chebyshev coefficients of fn on each panel [lefts[i], rights[i]].
+def _fit(fn: ScalarField, lefts, rights, name: str, length: float):
+    """Degree-_CHEB_DEGREE Chebyshev coefficients of fn on each panel [lefts[i], rights[i]].
 
-    fn is sampled once at the n + 1 Chebyshev-Lobatto points of every panel,
-    and one real FFT of the mirrored samples along axis 1 gives one row of
-    coefficients per panel. Returns the rows, their trailing-eighth maxima
-    and the largest sample magnitude.
+    fn is sampled once at the _CHEB_DEGREE + 1 Chebyshev-Lobatto points of
+    every panel, and one real FFT of the mirrored samples along axis 1 gives
+    one row of coefficients per panel. Returns the rows, their trailing-eighth
+    maxima and the largest sample magnitude.
     """
+    n = _CHEB_DEGREE
     t = np.cos(np.pi * np.arange(n + 1) / n)
     vals = fn(lefts[:, None] + 0.5 * (rights - lefts)[:, None] * (1.0 + t))
     if not np.all(np.isfinite(vals)):
@@ -296,45 +296,36 @@ def _chop(coeffs: np.ndarray, scale: float) -> np.ndarray:
 def _chebyshev_coefficients(fn: ScalarField, length: float, name: str):
     """Piecewise Chebyshev coefficients of fn on [0, length], resolved to rounding level.
 
-    Returns the breakpoints and one coefficient array per panel. The degree
-    on [0, length] doubles from 16 until the trailing eighth of the
-    coefficients is below a few eps of the largest sample. A field still
-    unresolved at degree 64 is bisected (Pachon, Platte & Trefethen, IMA J.
-    Numer. Anal. 30, 2010): each level splits every unresolved panel in two
-    and refits all halves at degree 64 in one call of fn, with the largest
-    sample so far as the common scale. Trailing coefficients below eps of the
-    scale are chopped. More than 128 panels, or a panel narrower than
-    2^-30 length, raises AccuracyError with the largest trailing coefficient
-    of the panels still unresolved.
+    Returns the breakpoints and one coefficient array per panel. Starting
+    from the one panel [0, length], each level fits every unresolved panel at
+    degree 64 in one call of fn, accepts the panels whose trailing eighth of
+    coefficients is below a few eps of the largest sample so far, and
+    bisects the rest (Pachon, Platte & Trefethen, IMA J. Numer. Anal. 30,
+    2010). Trailing coefficients below eps of that scale are chopped. More
+    than 128 panels, or a panel narrower than 2^-30 length, raises
+    AccuracyError with the largest trailing coefficient of the panels still
+    unresolved.
     """
     lefts, rights = np.zeros(1), np.array([float(length)])
-    n = _CHEB_START
-    while True:
-        coeffs, tails, scale = _fit(fn, lefts, rights, n, name, length)
-        if tails[0] <= _CHEB_TAIL * _EPS * scale:
-            return np.array([0.0, length]), [_chop(coeffs[0], scale)]
-        if n >= _CHEB_CAP:
-            break
-        n *= 2
-    panels = []
+    panels, scale = [], 0.0
     while len(lefts):
-        mids = 0.5 * (lefts + rights)
-        over_budget = len(panels) + 2 * len(lefts) > _PANEL_BUDGET
-        if over_budget or np.min(mids - lefts) < _MIN_PANEL * length:
-            limit = (f"{_PANEL_BUDGET} Chebyshev panels" if over_budget
-                     else "Chebyshev panels as narrow as 2^-30 of the domain")
-            tail = float(np.max(tails))
-            raise AccuracyError(
-                f"{name} is not resolved by {limit} of degree {_CHEB_CAP} "
-                f"(trailing coefficients {tail:.2e})",
-                error_estimate=tail,
-            )
-        lefts, rights = np.concatenate([lefts, mids]), np.concatenate([mids, rights])
-        coeffs, tails, level_scale = _fit(fn, lefts, rights, _CHEB_CAP, name, length)
+        coeffs, tails, level_scale = _fit(fn, lefts, rights, name, length)
         scale = max(scale, level_scale)
         done = tails <= _CHEB_TAIL * _EPS * scale
         panels += [(a, _chop(c, scale)) for a, c in zip(lefts[done], coeffs[done])]
         lefts, rights, tails = lefts[~done], rights[~done], tails[~done]
+        mids = 0.5 * (lefts + rights)
+        over_budget = len(panels) + 2 * len(lefts) > _PANEL_BUDGET
+        if over_budget or np.min(mids - lefts, initial=length) < _MIN_PANEL * length:
+            limit = (f"{_PANEL_BUDGET} Chebyshev panels" if over_budget
+                     else "Chebyshev panels as narrow as 2^-30 of the domain")
+            tail = float(np.max(tails))
+            raise AccuracyError(
+                f"{name} is not resolved by {limit} of degree {_CHEB_DEGREE} "
+                f"(trailing coefficients {tail:.2e})",
+                error_estimate=tail,
+            )
+        lefts, rights = np.concatenate([lefts, mids]), np.concatenate([mids, rights])
     panels.sort(key=lambda panel: panel[0])
     return np.array([a for a, _ in panels] + [length]), [c for _, c in panels]
 

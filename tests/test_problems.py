@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from mpmath import mp
 from scipy.integrate import quad, quad_vec
 
 from ellip1d import (PSI_SUP_SAMPLES, builtin_problem, problems, constant_field,
@@ -398,6 +399,22 @@ def record_fits(monkeypatch, build):
     return field, fits
 
 
+def record_samples(monkeypatch, build):
+    """build() and, for every Chebyshev fit it makes, the sample points of each call of fn."""
+    samples = []
+    fit = problems._chebyshev_coefficients
+
+    def recording_fit(fn, length, name):
+        calls = []
+        samples.append(calls)
+        return fit(ScalarField(lambda x: calls.append(x) or fn(x), fn.description), length, name)
+
+    monkeypatch.setattr(problems, "_chebyshev_coefficients", recording_fit)
+    field = build()
+    monkeypatch.setattr(problems, "_chebyshev_coefficients", fit)
+    return field, samples
+
+
 def truncated_series(kappa, m):
     """G_M(s) = sum_{j<=m} (-log kappa(s))^j / j!."""
     def weight(s):
@@ -465,10 +482,29 @@ class TestChebyshevOracle:
                 split = pid == "ex2" and m > 0
                 assert (len(pieces) > 1) == split, (pid, m, len(pieces))
 
+    def test_ex4_fits_load_and_integrand_once_each(self, monkeypatch):
+        # one degree-64 panel on [0, 1] resolves each of ex4's two fields
+        _, samples = record_samples(monkeypatch, lambda: builtin_problem("ex4"))
+        assert [[x.shape for x in calls] for calls in samples] == [[(1, 65)], [(1, 65)]]
+
+    def test_one_call_of_fn_per_level_at_degree_64(self, monkeypatch):
+        # call k of a fit samples panels of width 2^-k only: level k of the
+        # bisection, each panel at the 65 points of degree 64
+        for pid in ALL_IDS:
+            problem = builtin_problem(pid)
+            builds = [lambda: exact_solution_via_flux(problem, 1e-10)]
+            builds += [lambda m=m: semi_analytic_U_M(problem, m, 1e-10) for m in (1, 6, 12)]
+            for build in builds:
+                for calls in record_samples(monkeypatch, build)[1]:
+                    assert len(calls[0]) == 1
+                    for level, x in enumerate(calls):
+                        assert x.shape[1] == 65, (pid, level, x.shape)
+                        np.testing.assert_allclose(x[:, 0] - x[:, -1], 2.0**-level, rtol=1e-12)
+
     def test_split_fields_match_single_interval_build(self, ex2, monkeypatch):
         xs = np.linspace(0.0, 1.0, 4097)
         split = [semi_analytic_U_M(ex2, m, 1e-10)(xs) for m in (1, 6, 12)]
-        monkeypatch.setattr(problems, "_CHEB_CAP", 8192)
+        monkeypatch.setattr(problems, "_CHEB_DEGREE", 8192)
         for m, values in zip((1, 6, 12), split):
             whole, fits = record_fits(monkeypatch, lambda: semi_analytic_U_M(ex2, m, 1e-10))
             assert len(fits[-1][1]) == 1
@@ -515,6 +551,73 @@ class TestChebyshevOracle:
         rewrapped = dataclasses.replace(u, fn=lambda x: 2.0 * u.fn(x))
         assert rewrapped.derivative is u.derivative
         assert rewrapped(0.5) == pytest.approx(2.0 * ex1.exact(0.5), abs=1e-15)
+
+
+# The built-in problems restated for mpmath, independently of ellip1d:
+# (kappa, f, the flux -beta + int_s^1 f in closed form).
+MP_RESTATED = {
+    "ex1": (lambda x: 1 + x**2, lambda x: mp.mpf(1), lambda s: 1 - s),
+    "ex2": (lambda x: 1 / (1 - mp.sin(10 * mp.pi * x) / 2), lambda x: mp.mpf(1), lambda s: 1 - s),
+    "ex3": (lambda x: (x + 1) ** 2, lambda x: x / (x + 1),
+            lambda s: 1 - s - mp.log(2) + mp.log1p(s)),
+    "ex4": (lambda x: x**4 + mp.exp(-x), lambda x: -2 * mp.cos(mp.pi * x),
+            lambda s: 2 * mp.sin(mp.pi * s) / mp.pi),
+}
+MP_POINTS = [0.125, 0.375, 0.5, 0.8125, 1.0]
+MP_DPS = 25
+
+
+def mp_flux_integrals(pid, m):
+    """int_0^x w(s) (-beta + int_s^1 f) ds at MP_POINTS by 25-digit mpmath quadrature,
+    with w = 1/kappa for m None and G_m = sum_{j<=m} (-log kappa)^j / j! otherwise."""
+    kappa, _, flux = MP_RESTATED[pid]
+
+    def weight(s):
+        if m is None:
+            return 1 / kappa(s)
+        return mp.fsum((-mp.log(kappa(s))) ** j / mp.factorial(j) for j in range(m + 1))
+
+    values, total, left = [], mp.mpf(0), mp.mpf(0)
+    with mp.workdps(MP_DPS):
+        for x in MP_POINTS:
+            total += mp.quad(lambda s: weight(s) * flux(s), [left, x])
+            values.append(float(total))
+            left = x
+    return np.array(values)
+
+
+def assert_within_4_eps(u, expected):
+    """u at MP_POINTS within 4 eps of max|u| over [0, 1] of the expected values."""
+    scale = np.abs(u(np.linspace(0.0, 1.0, 1025))).max()
+    gap = np.abs(u(np.array(MP_POINTS)) - expected).max()
+    assert gap <= 4 * np.finfo(float).eps * scale, gap / (np.finfo(float).eps * scale)
+
+
+class TestOracleMultiprecision:
+    """The oracle against 25-digit mpmath quadrature, to 4 eps of max|u| absolute."""
+
+    def test_ex4_exact(self):
+        assert_within_4_eps(builtin_problem("ex4").exact, mp_flux_integrals("ex4", None))
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex3"])
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_truncated_fields(self, pid, m, request):
+        u = semi_analytic_U_M(request.getfixturevalue(pid), m, 1e-10)
+        assert_within_4_eps(u, mp_flux_integrals(pid, m))
+
+    def test_split_ex2_field(self, ex2, monkeypatch):
+        u, fits = record_fits(monkeypatch, lambda: semi_analytic_U_M(ex2, 6, 1e-10))
+        assert len(fits[-1][1]) > 1
+        assert_within_4_eps(u, mp_flux_integrals("ex2", 6))
+
+    @pytest.mark.parametrize("pid", ALL_IDS)
+    def test_flux_fields(self, pid, request):
+        # the closed-form fluxes above are checked against quadrature of f too
+        _, f, flux = MP_RESTATED[pid]
+        with mp.workdps(MP_DPS):
+            quads = [mp.quad(f, [x, 1]) for x in MP_POINTS]
+            assert all(abs(q - flux(mp.mpf(x))) < 1e-22 for q, x in zip(quads, MP_POINTS))
+        assert_within_4_eps(flux_field(request.getfixturevalue(pid)), np.array(quads, dtype=float))
 
 
 class TestOracleLayout:
