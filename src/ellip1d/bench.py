@@ -1,10 +1,10 @@
 """Cost and timing comparison of the three solution methods.
 
 The claim under test: the two-solve method does the work of the recursive
-one (M + 1 back-substitutions, M weighted-gradient assemblies) in 2 and 1,
-at the same accuracy. Counters are exact and deterministic; wall time is the
-median over repetitions after a warmup run, measured on the monotonic clock.
-All wall-time conclusions are relative; no absolute targets exist.
+one (M + 1 back-substitutions, M recursion fluxes) in 2 and 1, at the same
+accuracy. Counters are exact and deterministic; wall time is the median
+over repetitions after a warmup run, measured on the monotonic clock. All
+wall-time conclusions are relative; no absolute targets exist.
 """
 
 from __future__ import annotations

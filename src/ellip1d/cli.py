@@ -181,8 +181,8 @@ def _solutions(problem, method: Method, n_elems: int, orders) -> list:
     """One approximation per order in orders (ascending), or one alone for direct.
 
     The original method runs once to the largest order and takes each lower
-    one as a prefix sum of its terms; the improved method reads every G_M
-    off one series pass.
+    one as a prefix sum of its terms; the improved method reads every weight
+    Q_e(G_M) off one psi_moments pass.
     """
     if method is Method.DIRECT:
         return [fem_solve(problem, n_elems, ASSEMBLY_RULE)]

@@ -14,23 +14,20 @@ G_M = sum_{j<=M} (-psi)^j/j!:
 
     (U_M', v') = (G_M u_0', v'),   U_M(0) = alpha.
 
-Like the direct method, each method reads its data through fem.data_flux
-(the element fluxes F of the assembled load) and psi as the log of
-fem.kappa_blocks' checked values of kappa. Every solve is one flux sweep
-(fem.flux_sweep, one forward cumsum from the boundary value): slope w_e F_e
-on element e for a per-element weight w_e. u_0 is the sweep of F with
-weight 1, and U_M = sum_{j<=M} u_j is the sweep of the same F with weight
-Q_e(G_M), the element's Gauss mean of the series. In P1 every u_m' is
-constant per element, so Gauss assembly of the chain sees psi only through
-the element moments mu_{j,e}, the Gauss mean over element e of psi^j / j!:
-term m is the sweep with weight 1 of its recursion flux
+Each method reads its data as the element fluxes F of fem.data_flux, and
+every solve is one flux sweep (fem.flux_sweep, one forward cumsum): slope
+w_e F_e on element e for a per-element weight w_e. In P1 both methods see
+psi only through the element moments mu_{j,e} = Q_e(psi^j / j!), the Gauss
+means over element e that psi_moments takes in one pass over
+fem.kappa_blocks. u_0 is the sweep of F with weight 1. As Q_e is linear, the
+two-solve U_M is the sweep of F with the signed prefix sum of the moments,
+Q_e(G_M) = sum_{j<=M} (-1)^j mu_{j,e}, and term m of the recursive method
+is the sweep with weight 1 of its recursion flux
 
     c_{m,e} = - sum_{j=1}^{m} mu_{j,e} u_{m-j,e}',
 
-so the recursion takes each correction's slope u_j' = c_j from the flux it
-swept, not from its nodal values; only u_0' is read off u_0's nodes. It
-computes each mu_j once and builds each term's flux once, so it remains a
-chain of M + 1 solves. The cost model is unchanged: M + 1 versus 2 solves
+taking each correction's slope u_j' = c_j from the flux it swept and only
+u_0' from u_0's nodes. The cost model is unchanged: M + 1 versus 2 solves
 and M versus 1 right-hand-side assemblies.
 """
 
@@ -58,6 +55,7 @@ __all__ = [
     "solve_original",
     "solve_improved",
     "solve_improved_orders",
+    "psi_moments",
     "truncated_sum",
     "semi_analytic_U_M",
 ]
@@ -89,6 +87,19 @@ class DecompositionResult:
     factorization_count: int
 
 
+def psi_moments(mesh, kappa, rule: QuadratureRule, order: int):
+    """(element slice, mu) for each fem.kappa_blocks block, where row j of the
+    (order + 1, block size) array mu is the Gauss mean Q_e(psi^j / j!) of term
+    j of exp_series_terms(psi), psi = log kappa; mu[0] is exactly 1.0."""
+    for elems, kvals in kappa_blocks(mesh, kappa, rule):
+        powers = exp_series_terms(np.log(kvals))
+        next(powers)
+        mu = np.ones((order + 1, elems.stop - elems.start))
+        for row in mu[1:]:
+            np.matmul(next(powers), rule.weights, out=row)
+        yield elems, mu
+
+
 def solve_u0(problem: Problem, n_elems: int, rule: QuadratureRule) -> NodalFunction:
     """Galerkin solution of the unit-coefficient problem with the same data."""
     mesh, flux = data_flux(problem, n_elems, rule)
@@ -100,10 +111,9 @@ def solve_original(
 ) -> DecompositionResult:
     """Recursive decomposition: one solve per term u_1 ... u_M.
 
-    With mu_j the per-element Gauss mean of psi^j / j!, term m is the sweep
-    with weight 1 of the element flux c_m = -sum_{j=1}^{m} mu_j u_{m-j}',
-    built once from the slopes of the terms before it; each correction's
-    slope is the flux it was swept from, not a difference of nodal values.
+    With mu_j from psi_moments, term m is the sweep with weight 1 of the flux
+    c_m = -sum_{j=1}^{m} mu_j u_{m-j}' of the earlier slopes: u_0' is read off
+    u_0's nodes and each correction's slope is the flux it was swept from.
     The M terms are the rows of one (M, N + 1) array: the recursion writes
     each c_m into its row, and one fem.sweep_rows call sweeps every row in
     place. The returned terms are views of those rows. The flux terms of
@@ -117,20 +127,13 @@ def solve_original(
     u0 = flux_sweep(mesh, flux, 1.0, problem.alpha)
     u0_slope = u0.derivative_values()
     # row m - 1: term u_m, with u_m(0) = 0 in column 0; columns 1..N first hold
-    # the flux c_m it is swept from, which is also its slope u_m'
+    # the flux c_m it is swept from, which is also its slope u_m' (slopes[m])
     values = np.zeros((truncation, n_elems + 1))
-    for elems, kvals in kappa_blocks(mesh, problem.kappa, rule):
-        # slopes[j] is u_j' on the block
+    for elems, mu in psi_moments(mesh, problem.kappa, rule, truncation):
         slopes = [u0_slope[elems], *values[:, elems.start + 1:elems.stop + 1]]
-        # psi^j / j! at the block's quadrature points; mu_j needs them from j = 1 on
-        powers = exp_series_terms(np.log(kvals))
-        next(powers)
-        moments: list[np.ndarray] = []  # mu_1 ... mu_m on the block
         for m in range(1, truncation + 1):
-            moments.append(next(powers) @ rule.weights)
-            flux = slopes[m]
-            for mu, slope in zip(moments, slopes[m - 1::-1]):  # mu_j u_{m-j}'
-                flux -= mu * slope
+            for mu_j, slope in zip(mu[1:m + 1], slopes[m - 1::-1]):  # mu_j u_{m-j}'
+                slopes[m] -= mu_j * slope
     # a sweep with weight 1 has slope flux
     terms = [NodalFunction(mesh, row) for row in sweep_rows(values, mesh.h)]
 
@@ -161,23 +164,20 @@ def solve_improved_orders(
 ) -> tuple[NodalFunction, list[NodalFunction]]:
     """u_0 and the two-solve U_M for every M in truncations, in that order.
 
-    psi = log kappa is taken at the quadrature points once, one element block
-    at a time (fem.kappa_blocks), and one running sum of exp_series_terms(-psi)
-    from 0.0 passes through every G_M of the block, adding as g_m does; each
-    distinct M then costs one series weight Q_e(G_M) and one sweep of u_0's
-    fluxes. Every U_M is bit-identical to a run of its order alone.
+    One psi_moments pass to the largest M gives every weight Q_e(G_M) =
+    sum_{j<=M} (-1)^j mu_j, summed in order of j; each distinct M then costs
+    one sweep of u_0's fluxes. Every U_M is bit-identical to a run of M alone.
     """
     if min(truncations) < 1:
         raise ValueError(f"truncation order must be >= 1, got {min(truncations)}")
     mesh, flux = data_flux(problem, n_elems, rule)
     weights = {m: np.empty(n_elems) for m in truncations}  # Q_e(G_M) for every order M
-    for elems, kvals in kappa_blocks(mesh, problem.kappa, rule):
-        series = exp_series_terms(-np.log(kvals))
-        g = 0.0  # G_j at the block's quadrature points once term j is added
-        for j in range(max(weights) + 1):
-            g = g + next(series)
-            if j in weights:
-                weights[j][elems] = g @ rule.weights
+    for elems, mu in psi_moments(mesh, problem.kappa, rule, max(weights)):
+        mu[1::2] *= -1.0  # row j: Q_e((-psi)^j / j!) = (-1)^j mu_j
+        for j in range(1, len(mu)):
+            mu[j] += mu[j - 1]  # row j: Q_e(G_j)
+        for m, w in weights.items():
+            w[elems] = mu[m]
     totals = {m: flux_sweep(mesh, flux, w, problem.alpha) for m, w in weights.items()}
     return flux_sweep(mesh, flux, 1.0, problem.alpha), [totals[m] for m in truncations]
 

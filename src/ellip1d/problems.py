@@ -203,7 +203,7 @@ def sup_norm(field: ScalarField, length: float, n_samples: int) -> float:
 def exp_series_terms(x):
     """x^j / j! for j = 0, 1, 2, ..., each term from the last as term * x / j.
 
-    The package's one computation of x^j / j! (G_M, R_M, the recursion's
+    The package's one computation of x^j / j! (G_M, R_M, psi_moments'
     moments, tail_bound, verify's factorial-decay allowances); no explicit
     factorial, so any order stays finite. Term 0 is the float 1.0, so a
     float x yields floats and an array x arrays from j = 1 on.

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellip1d import QuadratureRule, constant_field, exact_solution_via_flux, g_m, psi_of
+from ellip1d import QuadratureRule, constant_field, exact_solution_via_flux, psi_of
 from ellip1d.decompose import (
+    psi_moments,
     semi_analytic_U_M,
     solve_improved,
     solve_improved_orders,
@@ -21,7 +22,10 @@ from ellip1d.fem import (
     assemble_load,
     assemble_stiffness,
     build_mesh,
+    data_flux,
+    fem_solve,
     flux_sweep,
+    kappa_blocks,
     load_flux,
 )
 from ellip1d.norms import h1_seminorm, sup_norm
@@ -306,10 +310,29 @@ class TestMomentIdentities:
         assert np.abs(slope - expected).max() <= 4 * n * EPS * scale
 
 
+class TestPsiMoments:
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_rows_are_gauss_means_of_powers(self, pid, request):
+        # explicit powers, against the recurrence psi_moments takes its terms from,
+        # on a mesh of three full blocks and a partial fourth
+        problem = request.getfixturevalue(pid)
+        n = 3 * BLOCK_ELEMS + 7
+        mesh = build_mesh(problem.length, n)
+        blocks = list(psi_moments(mesh, problem.kappa, RULE3, 12))
+        assert [elems.start for elems, _ in blocks[1:]] == [elems.stop for elems, _ in blocks[:-1]]
+        mu = np.concatenate([rows for _, rows in blocks], axis=1)
+        assert mu.shape == (13, n)
+        assert np.all(mu[0] == 1.0)
+        for j in range(1, 13):
+            expected = element_means(problem, n, lambda p: p**j / math.factorial(j))
+            scale = element_means(problem, n, lambda p: np.abs(p) ** j / math.factorial(j))
+            assert np.all(np.abs(mu[j] - expected) <= 4 * j * EPS * scale)
+
+
 class TestOneRunManyOrders:
     @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
-    def test_improved_weights_are_gauss_means_of_g_m(self, rule3, pid, request):
-        # one running sum per element block gives Q_e(g_m(psi, M)) bit for bit,
+    def test_improved_weights_are_signed_prefix_sums_of_moments(self, rule3, pid, request):
+        # Q_e(G_M) = sum_{j<=M} (-1)^j mu_j, added in order of j, bit for bit,
         # on a mesh of three full blocks and a partial fourth
         problem = request.getfixturevalue(pid)
         n = 3 * BLOCK_ELEMS + 7
@@ -317,9 +340,12 @@ class TestOneRunManyOrders:
         _, totals = solve_improved_orders(problem, n, orders, rule3)
         mesh = build_mesh(problem.length, n)
         flux = load_flux(assemble_load(mesh, problem.f, rule3, beta=problem.beta))
-        psi = psi_of(problem.kappa)
+        mu = np.concatenate([rows for _, rows in psi_moments(mesh, problem.kappa, rule3, 12)],
+                            axis=1)
         for m, total in zip(orders, totals):
-            weight = g_m(psi, m)(mesh.element_points(rule3)) @ rule3.weights
+            weight = 0.0
+            for j in range(m + 1):
+                weight = weight + (-1.0) ** j * mu[j]
             expected = flux_sweep(mesh, flux, weight, problem.alpha)
             np.testing.assert_array_equal(total.values, expected.values)
 
@@ -345,3 +371,50 @@ class TestOneRunManyOrders:
             np.testing.assert_array_equal(
                 truncated_sum(longest.u0, longest.terms[:m]).values,
                 solve_original(problem, 64, m, rule3).U_M.values)
+
+
+def harmonic_limit(problem, n, rule):
+    """Sweep of the data fluxes with weight Q_e(1/kappa), the improved method's M -> inf limit."""
+    mesh, flux = data_flux(problem, n, rule)
+    weight = np.concatenate([(1.0 / k) @ rule.weights
+                             for _, k in kappa_blocks(mesh, problem.kappa, rule)])
+    return flux_sweep(mesh, flux, weight, problem.alpha)
+
+
+class TestLimits:
+    """Both methods at M = 25, where the series tail is far below rounding.
+
+    The original method's weight sum_{m<=M} r_m (with u_m' = r_m u_0') is the
+    power series of 1 / Q_e(kappa) in the element moments, so its U_M tends to
+    the direct Galerkin solve. The improved weight Q_e(G_M) tends to
+    Q_e(1/kappa), harmonic averaging of the coefficient over each element.
+    """
+
+    @pytest.mark.parametrize("n", [257, 2**16])
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_original_tends_to_direct(self, rule3, pid, n, request):
+        problem = request.getfixturevalue(pid)
+        direct = fem_solve(problem, n, rule3).values
+        U_M = solve_original(problem, n, 25, rule3).U_M.values
+        assert np.abs(U_M - direct).max() <= 1e-13 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("n", [257, 2**16])
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_improved_tends_to_harmonic_limit(self, rule3, pid, n, request):
+        problem = request.getfixturevalue(pid)
+        limit = harmonic_limit(problem, n, rule3).values
+        U_M = solve_improved(problem, n, 25, rule3).U_M.values
+        assert np.abs(U_M - limit).max() <= 1e-14 * np.abs(limit).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=positive_problems(max_n=300, psi_amp=0.3))
+    def test_limits_on_random_problems(self, case):
+        # scaled by max|u| plus the sum of |u_{i+1} - u_i|, the size of the sweep's
+        # partial sums, since a random u can be near zero everywhere
+        problem, n = case
+        for limit, U_M, bound in (
+            (fem_solve(problem, n, RULE3), solve_original(problem, n, 25, RULE3).U_M, 1e-13),
+            (harmonic_limit(problem, n, RULE3), solve_improved(problem, n, 25, RULE3).U_M, 1e-14),
+        ):
+            scale = np.abs(limit.values).max() + np.abs(np.diff(limit.values)).sum()
+            assert np.abs(U_M.values - limit.values).max() <= bound * scale
