@@ -331,7 +331,7 @@ class TestPsiMoments:
 
 class TestOneRunManyOrders:
     @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
-    def test_improved_weights_are_signed_prefix_sums_of_moments(self, rule3, pid, request):
+    def test_improved_weights_are_gauss_means_of_g_m(self, rule3, pid, request):
         # Q_e(G_M) = sum_{j<=M} (-1)^j mu_j, added in order of j, bit for bit,
         # on a mesh of three full blocks and a partial fourth
         problem = request.getfixturevalue(pid)
