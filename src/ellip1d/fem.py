@@ -37,14 +37,12 @@ values per Gauss point. Elementwise passes and the reductions against the
 rule's weights then stream along elements instead of broadcasting over rows
 of 3 or 5. Indexing and row-major flattening are unaffected by the layout.
 The solvers and the error norms do not build these arrays for the whole
-mesh: element_blocks hands them out for consecutive blocks of at most
-BLOCK_ELEMS elements, so each block's coefficient values and temporaries
-stay in cache (tiling, Wolf & Lam, PLDI 1991), and only per-element results
-(N-vectors) span the mesh. Each element sees the same operations on the same
-values as in one whole-mesh pass, and every reduction across elements still
-runs over whole N-vectors. Blocks start at multiples of 8 elements: BLAS
-matrix-vector kernels group rows, and a block boundary elsewhere can change
-the last bit of a row's sum against the rule's weights.
+mesh: element_blocks hands them out in consecutive runs of BLOCK_ELEMS
+elements (the last run holds the rest), so each block's coefficient values
+and temporaries stay in cache (tiling, Wolf & Lam, PLDI 1991), and only
+per-element results (N-vectors) span the mesh. Each element sees the same
+operations on the same values as in one whole-mesh pass, and every
+reduction across elements still runs over whole N-vectors.
 """
 
 from __future__ import annotations
@@ -132,7 +130,9 @@ def build_mesh(length: float, n_elems: int) -> Mesh:
 class QuadratureRule:
     """Gauss-Legendre rule on the reference element [0, 1].
 
-    Exact for polynomials of degree <= 2 n_points - 1; the weights sum to 1.
+    Exact for polynomials of degree <= 2 n_points - 1. The weights sum to 1
+    in exact arithmetic; their doubles sum to exactly 1 for 2 and 4 points,
+    to 1 + 2.2e-16 for 3 points and to 1 - 1.1e-16 for 5 points.
     """
 
     n_points: int
@@ -151,22 +151,19 @@ class QuadratureRule:
 ASSEMBLY_RULE = QuadratureRule.gauss(3)
 
 # most elements in one block of a quadrature-point pass: a block's points and
-# coefficient values, 5 x 4096 doubles at most, stay well inside a 2 MB cache
+# coefficient values, 5 x 4096 doubles at most, stay well inside a 2 MB cache.
+# It must stay a multiple of 8, so that every block starts at a multiple of 8
+# elements: BLAS matrix-vector kernels group rows, and a block boundary
+# elsewhere can change the last bit of a row's sum against the rule's weights.
 BLOCK_ELEMS = 4096
 
 
 def element_blocks(mesh: Mesh, rule: QuadratureRule):
-    """(element slice, its quadrature points) for consecutive element blocks.
-
-    The ceil(N / BLOCK_ELEMS) blocks have near-equal sizes, each rounded up
-    to a multiple of 8, so that every block starts at a multiple of 8
-    elements (see the module docstring) and no block is a tiny remainder.
-    """
+    """(element slice, its quadrature points) for consecutive runs of
+    BLOCK_ELEMS elements; the last run holds the remaining ones."""
     n = mesh.n_elems
-    blocks = -(-n // BLOCK_ELEMS)
-    size = 8 * -(-n // (8 * blocks))  # ceil(n / blocks), rounded up to a multiple of 8
-    for start in range(0, n, size):
-        elems = slice(start, min(start + size, n))
+    for start in range(0, n, BLOCK_ELEMS):
+        elems = slice(start, min(start + BLOCK_ELEMS, n))
         yield elems, mesh.element_points(rule, elems)
 
 
