@@ -55,7 +55,6 @@ FINE_GRID_ELEMS = 2**15
 MAX_ELEMS = 2**20
 MAX_TRUNCATION = 64
 MAX_REPS = 1000
-_TOO_MANY_ELEMS = f"at most {MAX_ELEMS} elements, got {{}}"
 _ORDER_TOO_HIGH = f"truncation order must be <= {MAX_TRUNCATION}, got {{}}"
 
 
@@ -71,7 +70,7 @@ def table_sci(x: float) -> str:
     return f"{mant:.4f}({exp:+03d})"
 
 
-def _int_in(low: int, too_low: str, high: int | None = None, too_high: str = ""):
+def _int_in(low: int, too_low: str, high: int, too_high: str):
     """argparse type: one int in [low, high]; the messages format the value."""
 
     def parse(text: str) -> int:
@@ -81,42 +80,37 @@ def _int_in(low: int, too_low: str, high: int | None = None, too_high: str = "")
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(too_low.format(value))
-        if high is not None and value > high:
+        if value > high:
             raise argparse.ArgumentTypeError(too_high.format(value))
         return value
 
     return parse
 
 
-def _int_list(high: int, too_high: str):
-    """argparse type: a sorted comma-separated int list, entries in [1, high]."""
+def _int_list(entry):
+    """argparse type: a sorted comma-separated list, each entry parsed by entry."""
 
     def parse(text: str) -> list[int]:
-        try:
-            values = sorted(int(part) for part in text.split(",") if part.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a comma-separated int list: {text!r}") from None
-        if not values or values[0] < 1:
-            raise argparse.ArgumentTypeError("list entries must be integers >= 1")
-        for value in values:
-            if value > high:
-                raise argparse.ArgumentTypeError(too_high.format(value))
+        values = sorted(entry(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
         return values
 
     return parse
 
 
-_N_ELEMS = _int_in(1, "need at least one element, got {}", MAX_ELEMS, _TOO_MANY_ELEMS)
+_N_ELEMS = _int_in(1, "need at least one element, got {}", MAX_ELEMS,
+                   f"at most {MAX_ELEMS} elements, got {{}}")
 _ORDER = _int_in(0, "truncation order must be >= 0, got {}", MAX_TRUNCATION,
                  _ORDER_TOO_HIGH)
-# bench runs the original method, which needs at least one term
-_BENCH_ORDER = _int_in(1, "original method requires truncation >= 1", MAX_TRUNCATION,
-                       _ORDER_TOO_HIGH)
+# a truncated series needs at least one term: bench runs the original method
+# at --M, and table and verify read every --M-list entry as a series order
+_SERIES_ORDER = _int_in(1, "truncation order must be >= 1, got {}", MAX_TRUNCATION,
+                        _ORDER_TOO_HIGH)
 _REPS = _int_in(3, "need at least 3 repetitions, got {}", MAX_REPS,
                f"at most {MAX_REPS} repetitions, got {{}}")
-_N_LIST = _int_list(MAX_ELEMS, _TOO_MANY_ELEMS)
-_M_LIST = _int_list(MAX_TRUNCATION, _ORDER_TOO_HIGH)
+_N_LIST = _int_list(_N_ELEMS)
+_M_LIST = _int_list(_SERIES_ORDER)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", formatter_class=formatter,
                        help="compare cost and wall time of all methods")
-    common(p, n_default=2**15, m_default=10, m_type=_BENCH_ORDER)
+    common(p, n_default=2**15, m_default=10, m_type=_SERIES_ORDER)
     p.add_argument("--reps", type=_REPS, default=5)
 
     p = sub.add_parser("verify", formatter_class=formatter,

@@ -424,6 +424,29 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table", "--N-list", "8,banana"], "invalid int value: 'banana'"),
+            (["table", "--N-list", ","], "empty list: ','"),
+            (["table", "--N-list", "0,8"], "need at least one element, got 0"),
+            (["table", "--M-list", "0"], "truncation order must be >= 1, got 0"),
+            (["verify", "--M-list", "0"], "truncation order must be >= 1, got 0"),
+            (["bench", "--M", "0"], "truncation order must be >= 1, got 0"),
+        ],
+    )
+    def test_list_entries_and_bench_order_share_the_single_value_types(
+            self, argv, message, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a run started on a bad entry")
+
+        for name in ("cmd_solve", "cmd_table", "cmd_bench", "cmd_verify"):
+            monkeypatch.setattr(cli, name, refuse)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_parser_help_lists_defaults(self):
         parser = build_parser()
         assert parser.prog == "ellip1d"

@@ -28,7 +28,7 @@ from ellip1d.fem import (
     kappa_blocks,
     load_flux,
 )
-from ellip1d.norms import h1_seminorm, sup_norm
+from ellip1d.norms import h1_seminorm, sup_norm, tail_bound
 from ellip1d.problems import ScalarField, exp_series_terms
 
 from conftest import field, positive_problems, tridiagonal_matvec, unit_problem
@@ -405,6 +405,37 @@ class TestLimits:
         limit = harmonic_limit(problem, n, rule3).values
         U_M = solve_improved(problem, n, 25, rule3).U_M.values
         assert np.abs(U_M - limit).max() <= 1e-14 * np.abs(limit).max()
+
+    @pytest.mark.parametrize("n", [257, 2**10, 2**16])
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    def test_improved_converges_at_the_rate_of_the_series_tail(self, rule3, pid, n, request):
+        # |G_M(p) - e^-p| <= |p|^(M+1) / (M+1)! e^max(0,-p) <= tail_bound(s, M) for
+        # |p| <= s, Q_e is a mean, and the sweep adds h |w_e - w'_e| |F_e| per element
+        problem = request.getfixturevalue(pid)
+        orders = list(range(1, 26))
+        limit = harmonic_limit(problem, n, rule3).values
+        mesh, flux = data_flux(problem, n, rule3)
+        s = max(np.abs(np.log(k)).max() for _, k in kappa_blocks(mesh, problem.kappa, rule3))
+        rounding = 4 * EPS * np.abs(limit).max()
+        for m, U_M in zip(orders, solve_improved_orders(problem, n, orders, rule3)[1]):
+            bound = tail_bound(s, m) * mesh.h * np.abs(flux).sum() + rounding
+            assert np.abs(U_M.values - limit).max() <= bound, m
+
+    @pytest.mark.parametrize("n", [2**10, 2**12])
+    @pytest.mark.parametrize("pid", ["ex1", "ex2"])
+    def test_harmonic_limit_nodal_error_for_unit_load(self, rule3, pid, n, request):
+        """With f = 1, max_i |U_inf(x_i) - u(x_i)| = h^2/12 max_x |1/kappa(x) - 1/kappa(0)|.
+
+        The element flux of a unit load is the exact flux at the element
+        midpoint, so element e adds about h^3/12 (1/kappa)' to the nodal
+        error, and the sum up to x_i telescopes to h^2/12 (1/kappa(x_i) -
+        1/kappa(0)). That spread is 1/2 for both problems. The next term of
+        the error is still 2.5e-4 of this one at N = 256 on ex2.
+        """
+        problem = request.getfixturevalue(pid)
+        limit = harmonic_limit(problem, n, rule3)
+        error = np.abs(limit.values - problem.exact(limit.mesh.nodes)).max()
+        assert error == pytest.approx(limit.mesh.h**2 / 24, rel=1e-3)
 
     @settings(max_examples=40, deadline=None)
     @given(case=positive_problems(max_n=300, psi_amp=0.3))

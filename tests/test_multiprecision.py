@@ -13,7 +13,9 @@ method's element weight w_e and the sweep U_i = alpha + sum_{e<i} h w_e F_e:
 
 Q_e is the exact 3-point Gauss mean, so the rounding of the rule's double
 weights is part of what is measured. Every nodal value must lie within
-2 sqrt(N) eps max|U| of the reference.
+2 sqrt(N) eps max|U| of the reference. ex4's nodal values are checked a
+second time against a sweep of its exact load's fluxes (below), within the
+same bound, so that fem.load_flux's rounding is measured too.
 
 The printed cells are checked from the package's nodal values on, with the
 rest recomputed in mpmath:
@@ -25,8 +27,8 @@ rest recomputed in mpmath:
 - fine_grid_errors, the cells of ex4, against the exact integrals of the
   piecewise-linear difference to a solve on a nested finer mesh, within
   4 eps of the fine solution's max|u| and max|u'|;
-- the element fluxes F of ex4, which the nodal reference takes as given,
-  against a load of f at the exact 3-point Gauss nodes, within
+- the element fluxes F of ex4, which the first nodal reference takes as
+  given, against a load of f at the exact 3-point Gauss nodes, within
   2 sqrt(N) eps max|F|. fem.load_flux's reverse cumsum gathers rounding
   like N eps when h is not a power of two; at these N it stays below
   2.2 eps max|F|, and the growth (5.3 at N = 1000, 12 at N = 4099) is
@@ -48,9 +50,11 @@ ORDERS = [1, 4, 10]
 KEYS = ["u0", "direct", *(("improved", m) for m in ORDERS), *(("original", m) for m in ORDERS)]
 
 
-def mp_sweeps(problem, n):
-    """The reference nodal values, one mpf list for each of KEYS."""
-    mesh, flux = data_flux(problem, n, ASSEMBLY_RULE)
+def mp_sweeps(problem, n, flux=None):
+    """The reference nodal values, one mpf list for each of KEYS, swept from
+    the given element fluxes (the package's F if None)."""
+    mesh, package_flux = data_flux(problem, n, ASSEMBLY_RULE)
+    flux = package_flux if flux is None else flux
     kappa = np.concatenate([k for _, k in kappa_blocks(mesh, problem.kappa, ASSEMBLY_RULE)])
     assert ASSEMBLY_RULE.n_points == 3
     with mp.workdps(MP_DPS):
@@ -76,7 +80,7 @@ def mp_sweeps(problem, n):
         for key, w in weights.items():
             values = [mp.mpf(problem.alpha)]
             for w_e, f_e in zip(w, flux):
-                values.append(values[-1] + h * w_e * mp.mpf(float(f_e)))
+                values.append(values[-1] + h * w_e * mp.mpf(f_e))
             sweeps[key] = values
     return sweeps
 
@@ -92,9 +96,9 @@ def package_solutions(problem, n):
     return solutions
 
 
-def worst_ratios(problem, n):
+def worst_ratios(problem, n, flux=None):
     """max |U - U_ref| / (eps max|U_ref|) for every method and order."""
-    reference = mp_sweeps(problem, n)
+    reference = mp_sweeps(problem, n, flux)
     ratios = {}
     with mp.workdps(MP_DPS):
         for key, u in package_solutions(problem, n).items():
@@ -231,3 +235,12 @@ def test_ex4_fluxes_within_rounding_of_exact_arithmetic(ex4, n):
         gap = max(abs(mp.mpf(float(f)) - r) for f, r in zip(flux, reference))
         ratio = float(gap / (EPS * max(abs(r) for r in reference)))
     assert ratio <= 2 * np.sqrt(n), ratio
+
+
+@pytest.mark.parametrize("n", [7, 100, 256])
+def test_ex4_nodal_values_from_an_exact_load_within_rounding(ex4, n):
+    # swept from mp_ex4_fluxes rather than the package's F, so that the bound
+    # covers load_flux's rounding as well as the weights and the sweep
+    ratios = worst_ratios(ex4, n, mp_ex4_fluxes(n))
+    over = {key: r for key, r in ratios.items() if r > 2 * np.sqrt(n)}
+    assert not over, f"ex4 N={n}: eps max|U| multiples over 2 sqrt(N): {over}"
