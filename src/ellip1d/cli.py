@@ -15,6 +15,7 @@ d.dddd(-ee) style of the reference tables.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -113,7 +114,14 @@ _N_LIST = _int_list(_N_ELEMS)
 _M_LIST = _int_list(_SERIES_ORDER)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared by every
+    later call in the process.
+
+    Parsing leaves the parser unchanged, and every default is immutable (the
+    list defaults are tuples), so no call's arguments reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="ellip1d",
         description="1D elliptic solver: direct FEM and series-decomposition methods.",
@@ -141,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reproduce the N x M error table of a problem")
     common(p)
     p.add_argument("--method", choices=[m.value for m in Method], default="improved")
-    p.add_argument("--N-list", type=_N_LIST, default=list(DEFAULT_N_LIST),
+    p.add_argument("--N-list", type=_N_LIST, default=DEFAULT_N_LIST,
                    dest="n_list")
-    p.add_argument("--M-list", type=_M_LIST, default=list(DEFAULT_M_LIST),
+    p.add_argument("--M-list", type=_M_LIST, default=DEFAULT_M_LIST,
                    dest="m_list")
 
     p = sub.add_parser("bench", formatter_class=formatter,
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the numeric property suites")
     p.add_argument("--problem", choices=BUILTIN_IDS, default="ex1")
     p.add_argument("--out", default=None, help="output path; stdout if omitted")
-    p.add_argument("--M-list", type=_M_LIST, default=list(range(1, 9)),
+    p.add_argument("--M-list", type=_M_LIST, default=tuple(range(1, 9)),
                    dest="m_list")
     p.add_argument("--suite", choices=VERIFY_SUITES, default=None,
                    help="run a single suite (default: all)")
@@ -356,7 +364,8 @@ def main(argv=None) -> int:
     if (args.command == "solve" and args.method != Method.DIRECT.value
             and args.truncation < 1):
         parser.error(f"{args.method} method requires truncation >= 1")
-    # built once: the subcommand runs on this object
+    # this call's own copy of a Problem built once per process: the nesting
+    # check and the subcommand both run on this object
     problem = builtin_problem(args.problem)
     if args.command == "table":
         loose = [str(n) for n in args.n_list if FINE_GRID_ELEMS % n]

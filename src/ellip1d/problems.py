@@ -23,7 +23,9 @@ decomposition methods.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -522,12 +524,23 @@ _BUILTINS = {"ex1": _ex1, "ex2": _ex2, "ex3": _ex3, "ex4": _ex4}
 BUILTIN_IDS = tuple(_BUILTINS)
 
 
+@functools.cache
+def _built(problem_id: str) -> Problem:
+    return _BUILTINS[problem_id]()
+
+
 def builtin_problem(problem_id: str) -> Problem:
-    """One of the four built-in problems on (0, 1) with alpha = beta = 0."""
-    try:
-        builder = _BUILTINS[problem_id]
-    except KeyError:
+    """One of the four built-in problems on (0, 1) with alpha = beta = 0.
+
+    Each id is built and validated once per process, with its psi_sup and,
+    for ex4, its flux oracle. Every call returns its own shallow copy of that
+    Problem: the copies share kappa, f and exact, and a caller that rebinds a
+    field of its copy (object.__setattr__ on the frozen dataclass) leaves the
+    cached Problem and later calls unchanged. Nothing computed on a mesh is
+    kept.
+    """
+    if problem_id not in _BUILTINS:
         raise ValueError(
             f"unknown problem {problem_id!r}; valid ids: {', '.join(BUILTIN_IDS)}"
-        ) from None
-    return builder()
+        )
+    return copy.copy(_built(problem_id))

@@ -16,7 +16,7 @@ are exact under chunking, so they too must match one whole-grid pass.
 import numpy as np
 import pytest
 
-from ellip1d import builtin_problem, constant_field, fem, psi_of
+from ellip1d import builtin_problem, constant_field, fem, problems, psi_of
 from ellip1d.decompose import solve_improved, solve_original, solve_u0
 from ellip1d.fem import (ASSEMBLY_RULE, BLOCK_ELEMS, assemble_load, build_mesh, element_blocks,
                          fem_solve)
@@ -161,4 +161,5 @@ class TestSampleGrids:
         # whole grids held 1.1-2.0 MB: the 2^16 samples and their temporaries
         psi = psi_of(request.getfixturevalue(pid).kappa)
         assert traced_peak_mb(lambda: sup_norm(psi, 1.0, 2**16)) < 1.0
+        problems._built.cache_clear()
         assert traced_peak_mb(lambda: builtin_problem(pid)) < 1.0

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,8 @@ from ellip1d.norms import (
     l2_error,
 )
 from ellip1d.problems import ScalarField
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -450,3 +456,25 @@ class TestUsageErrors:
     def test_parser_help_lists_defaults(self):
         parser = build_parser()
         assert parser.prog == "ellip1d"
+
+
+class TestOneProcess:
+    """One process builds the parser and each built-in Problem once; every
+    main() call still parses its own arguments and runs on its own Problem copy."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_explicit_lists_leave_the_next_call_its_defaults(self, capsys):
+        default = ("table", "--problem", "ex2")
+        _, first, _ = run_cli(capsys, *default)
+        _, narrow, _ = run_cli(capsys, *default, "--N-list", "16,64", "--M-list", "3")
+        _, again, _ = run_cli(capsys, *default)
+        assert len(narrow.splitlines()) == 3
+        assert again == first
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-m", "ellip1d.cli", *default], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == first

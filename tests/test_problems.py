@@ -235,15 +235,35 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("pid", ALL_IDS)
     def test_validated_once(self, pid, monkeypatch):
-        # one Problem per built-in: kappa's dense samples, exact(0) = alpha and
-        # the boundary flux are each checked exactly once
+        # one Problem per built-in per process: kappa's dense samples, exact(0)
+        # = alpha and the boundary flux are each checked exactly once, however
+        # often the id is asked for
         calls = []
         validate = Problem.__post_init__
         monkeypatch.setattr(
             Problem, "__post_init__", lambda self: calls.append(self.name) or validate(self)
         )
+        problems._built.cache_clear()
+        builtin_problem(pid)
         builtin_problem(pid)
         assert calls == [pid]
+
+    @pytest.mark.parametrize("pid", ALL_IDS)
+    def test_each_call_gets_its_own_copy_of_one_build(self, pid):
+        first, second = builtin_problem(pid), builtin_problem(pid)
+        assert first is not second
+        for name in ("kappa", "f", "exact"):
+            assert getattr(first, name) is getattr(second, name)
+        assert first.psi_sup == second.psi_sup
+
+    @pytest.mark.parametrize("pid", ALL_IDS)
+    def test_rebinding_a_field_of_one_copy_leaves_the_next_alone(self, pid):
+        # a tracer rewraps the fields of the Problem it is handed in place; on a
+        # shared Problem every call would nest one more wrapper
+        first = builtin_problem(pid)
+        kappa = first.kappa
+        object.__setattr__(first, "kappa", ScalarField(kappa, "wrapped"))
+        assert builtin_problem(pid).kappa is kappa
 
     def test_ex4_exact_is_flux_oracle(self, ex4):
         xs = np.linspace(0.0, 1.0, 257)
@@ -484,6 +504,7 @@ class TestChebyshevOracle:
 
     def test_ex4_fits_load_and_integrand_once_each(self, monkeypatch):
         # one degree-64 panel on [0, 1] resolves each of ex4's two fields
+        problems._built.cache_clear()
         _, samples = record_samples(monkeypatch, lambda: builtin_problem("ex4"))
         assert [[x.shape for x in calls] for calls in samples] == [[(1, 65)], [(1, 65)]]
 
