@@ -58,7 +58,9 @@ __all__ = [
     "QuadratureRule",
     "ASSEMBLY_RULE",
     "BLOCK_ELEMS",
+    "element_slices",
     "element_blocks",
+    "broadcast_sample",
     "NodalFunction",
     "TridiagonalSystem",
     "TridiagonalFactorization",
@@ -158,13 +160,26 @@ ASSEMBLY_RULE = QuadratureRule.gauss(3)
 BLOCK_ELEMS = 4096
 
 
-def element_blocks(mesh: Mesh, rule: QuadratureRule):
-    """(element slice, its quadrature points) for consecutive runs of
-    BLOCK_ELEMS elements; the last run holds the remaining ones."""
+def element_slices(mesh: Mesh):
+    """Consecutive runs of BLOCK_ELEMS elements of mesh, as slices; the last
+    run holds the remaining ones."""
     n = mesh.n_elems
     for start in range(0, n, BLOCK_ELEMS):
-        elems = slice(start, min(start + BLOCK_ELEMS, n))
+        yield slice(start, min(start + BLOCK_ELEMS, n))
+
+
+def element_blocks(mesh: Mesh, rule: QuadratureRule):
+    """(element slice, its quadrature points) for each of element_slices(mesh)."""
+    for elems in element_slices(mesh):
         yield elems, mesh.element_points(rule, elems)
+
+
+def broadcast_sample(values, shape: tuple) -> np.ndarray:
+    """values as a float array of the given shape: a sample that already has
+    it is returned as is, anything else (a scalar, a (1,) array) is broadcast
+    to a read-only view. Callers read samples and never write into them."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +222,7 @@ def _coeff_at_points(
 ) -> np.ndarray:
     """coeff at pts, the points of the elements first, first + 1, ..., all
     finite, and with positive also > 0, or AssemblyError names the element."""
-    vals = np.broadcast_to(np.asarray(coeff(pts), dtype=float), pts.shape)
+    vals = broadcast_sample(coeff(pts), pts.shape)
     ok = np.isfinite(vals) & (vals > 0.0) if positive else np.isfinite(vals)
     if not np.all(ok):
         bad = first + int(np.argwhere(~ok)[0][0])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import Mesh, NodalFunction, QuadratureRule, build_mesh, element_blocks
+from .fem import Mesh, NodalFunction, QuadratureRule, build_mesh, element_slices
 from .problems import (PSI_SUP_SAMPLES, Problem, ScalarField, exp_series_terms, flux_field,
                        psi_of, series_remainders, sup_norm)
 
@@ -88,19 +88,26 @@ def field_errors(mesh: Mesh, functions, reference: ScalarField) -> list[tuple[fl
 
     The reference and the field it carries as .derivative are sampled once,
     at mesh's ERROR_RULE points, for all the functions, one element block
-    at a time (fem.element_blocks). Each block fills in the per-element
-    squared errors, and each norm is one sum over all elements at the end. A
-    caller that needs only the L2 values still pays for the one derivative
-    evaluation.
+    at a time (fem.element_slices): by the reference's sampler, which gives
+    both in one call, if it has one, else by calling each at the block's
+    points. Each block fills in the per-element squared errors, and each
+    norm is one sum over all elements at the end. A caller that needs only
+    the L2 values still pays for the one derivative evaluation.
     """
     if not all(v.mesh.same_as(mesh) for v in functions):
         raise ValueError(f"nodal functions must live on the {mesh.n_elems}-element mesh")
+
+    def sample(mesh, rule, elems):
+        pts = mesh.element_points(rule, elems)
+        return reference(pts), reference.derivative(pts)
+
+    sampler = reference.sampler or sample
     w = ERROR_RULE.weights
     derivatives = [v.derivative_values() for v in functions]
     # squares[i] holds function i's per-element L2 and H1 integrands over h
     squares = np.empty((len(functions), 2, mesh.n_elems))
-    for elems, pts in element_blocks(mesh, ERROR_RULE):
-        values, slopes = reference(pts), reference.derivative(pts)
+    for elems in element_slices(mesh):
+        values, slopes = sampler(mesh, ERROR_RULE, elems)
         for (l2, h1), v, d in zip(squares, functions, derivatives):
             diff = v.at_quadrature(ERROR_RULE, elems) - values
             l2[elems] = (diff * diff) @ w

@@ -67,15 +67,22 @@ class ScalarField:
 
     fn receives a float ndarray of any shape and must return values
     elementwise (a scalar is broadcast). Scalar input returns a float.
+
+    sampler, if given, gives the field and its derivative together at the
+    points of some elements of a mesh: sampler(mesh, rule, elems) returns
+    (values, slopes) at mesh.element_points(rule, elems), point-major, equal
+    to rounding to what self and self.derivative return there. The error
+    norms sample a reference through it (norms.field_errors).
     """
 
     fn: Callable
     description: str = ""
     derivative: "ScalarField | None" = None
+    sampler: Callable | None = None
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        out = np.broadcast_to(np.asarray(self.fn(arr), dtype=float), arr.shape)
+        out = fem.broadcast_sample(self.fn(arr), arr.shape)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -176,7 +183,7 @@ def psi_of(kappa: ScalarField) -> ScalarField:
     """Pointwise log of a finite, strictly positive coefficient."""
 
     def fn(x):
-        kvals = np.broadcast_to(np.asarray(kappa(x), dtype=float), x.shape)
+        kvals = fem.broadcast_sample(kappa(x), x.shape)
         ok = np.isfinite(kvals) & (kvals > 0.0)  # NaN fails both tests
         if not np.all(ok):
             bad = float(np.asarray(x).ravel()[np.argmax(~ok.ravel())])
@@ -440,14 +447,33 @@ def exact_solution_via_flux(problem: Problem, tol: float) -> ScalarField:
     )
 
 
+def _closed_form(value, slope, shared, descriptions, shared_at=None) -> ScalarField:
+    """A closed-form solution u with u' as its .derivative and a sampler of both.
+
+    value and slope are u and u' as functions of the subexpressions that
+    they have in common, parts = shared(x). The plain fields take the parts
+    at their points; the sampler takes them once per element block, from
+    shared_at(mesh, rule, elems) if given, else from shared at the block's
+    points, and builds u and u' from the same parts.
+    """
+
+    def sampler(mesh, rule, elems):
+        parts = (shared(mesh.element_points(rule, elems)) if shared_at is None
+                 else shared_at(mesh, rule, elems))
+        return value(*parts), slope(*parts)
+
+    derivative = ScalarField(lambda x: slope(*shared(x)), descriptions[1])
+    return ScalarField(lambda x: value(*shared(x)), descriptions[0], derivative, sampler)
+
+
 def _ex1() -> Problem:
     kappa = ScalarField(lambda x: 1.0 + x * x, "1 + x^2")
     f = constant_field(1.0, "1")
-    exact_d = ScalarField(lambda x: (1.0 - x) / (1.0 + x * x), "(1 - x)/(1 + x^2)")
-    exact = ScalarField(
-        lambda x: np.arctan(x) - 0.5 * np.log1p(x * x),
-        "arctan(x) - ln(1 + x^2)/2",
-        derivative=exact_d,
+    exact = _closed_form(
+        lambda x, xx: np.arctan(x) - 0.5 * np.log1p(xx),
+        lambda x, xx: (1.0 - x) / (1.0 + xx),
+        lambda x: (x, x * x),
+        ("arctan(x) - ln(1 + x^2)/2", "(1 - x)/(1 + x^2)"),
     )
     return Problem(
         name="ex1", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
@@ -462,18 +488,36 @@ def _ex2() -> Problem:
         "(1 - 0.5 sin(10 pi x))^-1",
     )
     f = constant_field(1.0, "1")
-    exact_d = ScalarField(
-        lambda x: (1.0 - x) * (1.0 - 0.5 * np.sin(w * x)),
-        "(1 - x)(1 - 0.5 sin(10 pi x))",
+
+    def u(x, s, c):
+        # s = sin(w x), c = cos(w x); the additive constant is -1/(20 pi),
+        # pinned by u(0) = 0
+        return (s + w * (1.0 - x) * c + w**2 * x * (2.0 - x)) / (2.0 * w**2) - 1.0 / (2.0 * w)
+
+    def angles_at(mesh, rule, elems):
+        # sin and cos once per element midpoint m and once per rule offset
+        # d = h (t - 1/2), joined by angle addition: sin w(m + d) =
+        # sin wm cos wd + cos wm sin wd, cos w(m + d) = cos wm cos wd - sin wm sin wd.
+        # m + d misses the point x by the rounding of m and of x, up to an
+        # ulp of x, which w |u''| turns into several eps of u'; the residual
+        # r = (x - m) - d is exact away from x = 0 (Sterbenz), and one
+        # rotation by w r lands on x itself
+        x = mesh.element_points(rule, elems)
+        m = mesh.nodes[:-1][elems] + 0.5 * mesh.h
+        d = mesh.h * (rule.points - 0.5)
+        sm, cm = np.sin(w * m), np.cos(w * m)
+        sd, cd = np.sin(w * d)[:, None], np.cos(w * d)[:, None]
+        s, c = (sm * cd + cm * sd).T, (cm * cd - sm * sd).T
+        wr = w * ((x - m[:, None]) - d)
+        return x, s + wr * c, c - wr * s
+
+    exact = _closed_form(
+        u,
+        lambda x, s, c: (1.0 - x) * (1.0 - 0.5 * s),
+        lambda x: (x, np.sin(w * x), np.cos(w * x)),
+        ("oscillatory closed form", "(1 - x)(1 - 0.5 sin(10 pi x))"),
+        shared_at=angles_at,
     )
-
-    def u(x):
-        # the additive constant is -1/(20 pi), pinned by u(0) = 0
-        return (
-            np.sin(w * x) + w * (1.0 - x) * np.cos(w * x) + w**2 * x * (2.0 - x)
-        ) / (2.0 * w**2) - 1.0 / (2.0 * w)
-
-    exact = ScalarField(u, "oscillatory closed form", derivative=exact_d)
     return Problem(
         name="ex2", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,
         exact=exact, closed_form=True,
@@ -484,14 +528,12 @@ def _ex3() -> Problem:
     kappa = ScalarField(lambda x: (x + 1.0) ** 2, "(x + 1)^2")
     f = ScalarField(lambda x: x / (x + 1.0), "x/(x + 1)")
     ln2 = math.log(2.0)
-    exact_d = ScalarField(
-        lambda x: (1.0 - x - ln2 + np.log1p(x)) / (1.0 + x) ** 2,
-        "(1 - x - ln 2 + ln(1 + x))/(1 + x)^2",
-    )
-    exact = ScalarField(
-        lambda x: ((3.0 - ln2) * x - (2.0 + x) * np.log1p(x)) / (1.0 + x),
-        "((3 - ln 2) x - (2 + x) ln(1 + x))/(1 + x)",
-        derivative=exact_d,
+    exact = _closed_form(
+        lambda x, ln1p, p: ((3.0 - ln2) * x - (2.0 + x) * ln1p) / p,
+        lambda x, ln1p, p: (1.0 - x - ln2 + ln1p) / p**2,
+        lambda x: (x, np.log1p(x), 1.0 + x),
+        ("((3 - ln 2) x - (2 + x) ln(1 + x))/(1 + x)",
+         "(1 - x - ln 2 + ln(1 + x))/(1 + x)^2"),
     )
     return Problem(
         name="ex3", length=1.0, kappa=kappa, f=f, alpha=0.0, beta=0.0,

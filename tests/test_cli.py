@@ -16,14 +16,7 @@ from ellip1d.cli import (
     table_sci,
 )
 from ellip1d.decompose import Method, solve_improved, solve_original
-from ellip1d.norms import (
-    ERROR_RULE,
-    fine_grid_errors,
-    fine_grid_h1_error,
-    fine_grid_l2_error,
-    h1_seminorm_error,
-    l2_error,
-)
+from ellip1d.norms import field_errors, fine_grid_errors, fine_grid_h1_error, fine_grid_l2_error
 from ellip1d.problems import ScalarField
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -180,8 +173,7 @@ class TestTableRowsFromOneRun:
                 solver = solve_original if method is Method.ORIGINAL else solve_improved
                 approx = solver(problem, r.n_elems, r.truncation, rule).U_M
             if fine is None:
-                expected = (l2_error(approx, problem.exact, ERROR_RULE),
-                            h1_seminorm_error(approx, problem.exact.derivative, ERROR_RULE))
+                [expected] = field_errors(approx.mesh, [approx], problem.exact)
             else:
                 expected = (fine_grid_l2_error(approx, fine),
                             fine_grid_h1_error(approx, fine))

@@ -170,7 +170,7 @@ def assert_cells_within(cells, reference, u_max, du_max):
 
 
 @pytest.mark.parametrize("pid, n", [(pid, n) for pid in ["ex1", "ex2", "ex3"] for n in [8, 32, 128]]
-                         + [("ex1", 512)])
+                         + [("ex1", 512), ("ex2", 512)])
 def test_field_errors_within_rounding_of_exact_arithmetic(pid, n):
     problem = builtin_problem(pid)
     functions = list(package_solutions(problem, n).values())

@@ -12,7 +12,7 @@ from scipy.integrate import quad, quad_vec
 from ellip1d import (PSI_SUP_SAMPLES, builtin_problem, problems, constant_field,
                      exact_solution_via_flux, g_m, psi_of, sup_norm)
 from ellip1d.decompose import semi_analytic_U_M, solve_improved, solve_original
-from ellip1d.fem import QuadratureRule, build_mesh
+from ellip1d.fem import BLOCK_ELEMS, QuadratureRule, build_mesh, element_slices
 from ellip1d.norms import ERROR_RULE, tail_bound, theorem_bound_check
 from ellip1d.problems import (BUILTIN_IDS, AccuracyError, Problem, ScalarField, flux_field,
                               series_remainders)
@@ -20,6 +20,7 @@ from ellip1d.problems import (BUILTIN_IDS, AccuracyError, Problem, ScalarField, 
 from conftest import explicit_tail, field, positive_problems, traced_peak_mb, unit_problem
 
 ALL_IDS = ["ex1", "ex2", "ex3", "ex4"]
+EPS = np.finfo(float).eps
 
 
 class TestPsi:
@@ -282,6 +283,82 @@ class TestBuiltins:
             flux_int, _ = quad(p.f, x, 1.0, epsabs=1e-12, limit=200)
             lhs = p.kappa(x) * p.exact.derivative(x)
             assert lhs == pytest.approx(-p.beta + flux_int, abs=1e-8)
+
+
+class TestScalarField:
+    @pytest.mark.parametrize("result", [lambda x: 2.0, lambda x: np.array([2.0]),
+                                        lambda x: np.full(x.shape, 2.0)],
+                             ids=["scalar", "one-element", "same-shape"])
+    def test_every_result_takes_the_points_shape(self, result):
+        pts = build_mesh(1.0, 6).element_points(ERROR_RULE)
+        out = ScalarField(result)(pts)
+        assert out.shape == pts.shape
+        assert np.all(out == 2.0)
+
+    def test_a_sample_of_the_points_shape_is_not_copied(self):
+        # a sample that already has the points' shape is handed back as is,
+        # so a field that returns its input returns the points themselves
+        pts = build_mesh(1.0, 6).element_points(ERROR_RULE)
+        assert ScalarField(lambda x: x)(pts) is pts
+
+
+# the N of the sampler tests: one block, one block, two blocks whose second
+# holds one element, one of them N = 1000 (where angle addition without the
+# residual rotation is 1.1 of the bound), and h not a power of two
+SAMPLER_N = [7, 100, 1000, BLOCK_ELEMS + 1, 40000]
+
+
+def mp_ex2(points):
+    """|u|, |u'| and their gaps to ex2's sampler at each (x, u, u') of points,
+    the closed form in 30-digit arithmetic at the double x."""
+    with mp.workdps(30):
+        w = 10 * mp.pi
+        scale, shift = 1 / (2 * w**2), 1 / (2 * w)
+        rows = []
+        for x, value, slope in points:
+            x = mp.mpf(float(x))
+            c, s = mp.cos_sin(w * x)
+            u = (s + w * (1 - x) * c + w**2 * x * (2 - x)) * scale - shift
+            du = (1 - x) * (1 - s / 2)
+            rows.append([float(abs(u)), float(abs(du)), float(abs(value - u)),
+                         float(abs(slope - du))])
+    return np.array(rows)
+
+
+class TestClosedFormSamplers:
+    """Each closed form's sampler, block by block, against its plain fields at
+    the block's points (ex1, ex3), or against exact arithmetic there (ex2)."""
+
+    @pytest.mark.parametrize("n", SAMPLER_N)
+    @pytest.mark.parametrize("pid", ["ex1", "ex3"])
+    def test_same_bits_as_the_plain_fields(self, pid, n):
+        exact = builtin_problem(pid).exact
+        mesh = build_mesh(1.0, n)
+        blocks = list(element_slices(mesh))
+        assert len(blocks) == -(-n // BLOCK_ELEMS)
+        for elems in blocks:
+            pts = mesh.element_points(ERROR_RULE, elems)
+            values, slopes = exact.sampler(mesh, ERROR_RULE, elems)
+            for got, expected in ((values, exact(pts)), (slopes, exact.derivative(pts))):
+                assert got.shape == pts.shape and got.T.flags.c_contiguous  # point-major
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", SAMPLER_N)
+    def test_ex2_within_rounding_of_exact_arithmetic(self, n):
+        # every element of a block of up to 1000, else every 64th with the
+        # block's first and last; bounds as tests/test_multiprecision.py's
+        exact = builtin_problem("ex2").exact
+        mesh = build_mesh(1.0, n)
+        points = []
+        for elems in element_slices(mesh):
+            pts = mesh.element_points(ERROR_RULE, elems)
+            values, slopes = exact.sampler(mesh, ERROR_RULE, elems)
+            size = elems.stop - elems.start
+            rows = range(size) if size <= 1000 else sorted({*range(0, size, 64), size - 1})
+            points += zip(pts[rows].ravel(), values[rows].ravel(), slopes[rows].ravel())
+        u_max, du_max, u_gap, du_gap = np.max(mp_ex2(points), axis=0)
+        assert u_gap <= 4 * EPS * u_max, u_gap / (EPS * u_max)
+        assert du_gap <= 4 * EPS * du_max, du_gap / (EPS * du_max)
 
 
 class TestProblemValidation:
